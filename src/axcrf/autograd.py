@@ -10,21 +10,31 @@ bit-for-bit in single-threaded runs.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 __all__ = ["Tape", "Tensor", "apply", "backward", "grad_check", "OP_KINDS"]
 
 
 class Tensor:
-    """Dense float64 array registered on a tape, with a gradient slot."""
+    """Dense float64 array registered on a tape, with a gradient slot.
 
-    __slots__ = ("tape", "values", "grad", "node_id")
+    A tensor refers to its tape weakly, so a dropped tape is freed at once
+    rather than by the cyclic collector: keep the tape bound while in use.
+    """
+
+    __slots__ = ("_tape", "values", "grad", "node_id")
 
     def __init__(self, tape: "Tape", values: np.ndarray, node_id: int):
-        self.tape = tape
+        self._tape = weakref.ref(tape)
         self.values = values
         self.grad: np.ndarray | None = None
         self.node_id = node_id
+
+    @property
+    def tape(self) -> "Tape":
+        return self._tape()
 
     @property
     def shape(self) -> tuple[int, ...]:

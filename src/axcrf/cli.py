@@ -510,9 +510,13 @@ def _add_train_flags(p):
     for name in ("lr", "lr_decay", "lr_floor", "momentum", "dropout_rate",
                  "offset_scale"):
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
-    for name in ("lr_decay_every", "batch_blocks", "patience", "max_epochs",
+    for name in ("lr_decay_every", "batch_blocks", "patience",
                  "seed", "n_sample", "K", "C_delta", "hidden", "crf_K", "r"):
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=int)
+    p.add_argument("--max-epochs", dest="max_epochs", type=int,
+                   help="epoch cap N (default 200): train runs up to N epochs, "
+                        "refine up to max(1, N // 2) labeled+artificial epoch "
+                        "pairs, so refine with N = 1 still trains two epochs")
 
 
 def build_parser():

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = ["NeighborIndex", "AtrousNeighborhood", "build_index", "atrous_gather"]
 
@@ -34,7 +33,11 @@ class AtrousNeighborhood:
 
 
 class NeighborIndex:
-    """Immutable exact k-NN index over an M x 3 position snapshot."""
+    """Immutable exact k-NN index over an M x 3 position snapshot.
+
+    Queries select from dense distance rows, so memory grows as M^2: an
+    all-points query at M = 2048, k = 1024 peaks near 155 MB.
+    """
 
     def __init__(self, positions: np.ndarray):
         positions = np.asarray(positions, dtype=np.float64)
@@ -46,31 +49,33 @@ class NeighborIndex:
             raise ValueError("positions contain non-finite coordinates")
         self.positions = positions.copy()
         self.positions.setflags(write=False)
-        self._tree = cKDTree(self.positions)
 
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def _exact_row(self, q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Exact k nearest others for one query via a tie-safe ball query."""
-        m = len(self)
-        take = min(k, m - 1)
-        kq = min(m, k + 2)
-        d, _ = self._tree.query(self.positions[q], k=kq)
-        d = np.atleast_1d(d)
-        # the ball boundary is ULP-fragile: points at exactly the cutoff
-        # distance can fall either side, so grow the radius until the ball
-        # holds enough candidates
-        r = float(d[-1])
-        while True:
-            cand = np.asarray(self._tree.query_ball_point(self.positions[q], r=r), dtype=np.intp)
-            cand = cand[cand != q]
-            if cand.size >= take:
-                break
-            r = np.nextafter(r * (1.0 + 1e-12) + 1e-300, np.inf)
-        cd = np.linalg.norm(self.positions[cand] - self.positions[q], axis=1)
-        order = np.lexsort((cand, cd))
-        return cand[order][:take], cd[order][:take]
+    def _nearest(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Exact k nearest others of each query point, ties to lower index."""
+        n = queries.size
+        p = self.positions
+        # (dx^2 + dy^2) + dz^2 with dx = p_j - p_i: np.linalg.norm's order
+        dist = np.zeros((n, len(self)))
+        for axis in range(3):
+            dist += np.square(p[:, axis] - p[queries, axis][:, None])
+        np.sqrt(dist, out=dist)
+        rows = np.arange(n)
+        dist[rows, queries] = np.inf
+        kth = np.partition(dist, k - 1, axis=1)[:, [k - 1]]
+        keep = dist <= kth
+        keep[rows, queries] = False  # an overflowed +inf cutoff ties the query
+        # every entry at or below the k-th distance, ties included; nonzero
+        # lists columns ascending and the stable sort keeps that order among
+        # equal distances
+        r, c = np.nonzero(keep)
+        d = dist[r, c]
+        order = np.lexsort((d, r))
+        counts = np.bincount(r, minlength=n)
+        take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        return c[take], d[take]
 
     def nearest_others(self, query: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k nearest points other than ``query``, ties to lower index.
@@ -83,53 +88,19 @@ class NeighborIndex:
             raise ValueError(f"query index {query} out of range for {m} points")
         if k < 1:
             raise ValueError("k must be >= 1")
-        return self._exact_row(query, min(k, m - 1))
+        idx, dist = self._nearest(np.array([query]), min(k, m - 1))
+        return idx[0], dist[0]
 
     def nearest_others_all(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized nearest_others for every point; returns (M x k', M x k').
 
-        k' = min(k, M-1). The bulk of rows comes from one batched tree
-        query; rows with distance ties near the cutoff (or duplicate
-        positions hiding the query point) are repaired exactly.
+        k' = min(k, M-1). One dense M x M distance matrix and one stable
+        sort give every row exactly, duplicates and tied cutoffs included.
         """
-        m = len(self)
         if k < 1:
             raise ValueError("k must be >= 1")
-        keff = min(k, m - 1)
-        if keff == 0:
-            return (np.zeros((m, 0), dtype=np.intp), np.zeros((m, 0)))
-        kq = min(m, keff + 2)
-        dist, idx = self._tree.query(self.positions, k=kq)
-        dist = dist.reshape(m, kq)
-        idx = idx.reshape(m, kq)
-
-        # order each row by (distance, index) with one global lexsort
-        rows = np.repeat(np.arange(m), kq)
-        order = np.lexsort((idx.ravel(), dist.ravel(), rows))
-        idx = idx.ravel()[order].reshape(m, kq)
-        dist = dist.ravel()[order].reshape(m, kq)
-
-        out_idx = np.empty((m, keff), dtype=np.intp)
-        out_dist = np.empty((m, keff))
-        self_pos = idx == np.arange(m)[:, None]
-        for i in range(m):
-            row_i = idx[i]
-            row_d = dist[i]
-            hit = np.flatnonzero(self_pos[i])
-            # needs exact repair if the query point never showed up (can
-            # happen with many duplicates) or the cutoff distance is tied
-            need_repair = hit.size == 0
-            if not need_repair:
-                others_i = np.delete(row_i, hit[0])
-                others_d = np.delete(row_d, hit[0])
-                if others_i.size > keff and others_d[keff - 1] == others_d[keff]:
-                    need_repair = True
-            if need_repair:
-                out_idx[i], out_dist[i] = self._exact_row(i, keff)
-            else:
-                out_idx[i] = others_i[:keff]
-                out_dist[i] = others_d[:keff]
-        return out_idx, out_dist
+        m = len(self)
+        return self._nearest(np.arange(m), min(k, m - 1))
 
 
 def build_index(positions: np.ndarray) -> NeighborIndex:

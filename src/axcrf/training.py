@@ -489,6 +489,8 @@ def train_step2(checkpoint: ModelCheckpoint, cloud: PointCloud, train_blocks,
     """Retrain against labeled and artificial-label epochs in strict
     alternation; refinement parameters are frozen on artificial epochs.
 
+    Runs up to ``max(1, config.max_epochs // 2)`` pairs of one labeled and
+    one artificial epoch, so ``max_epochs = 1`` still trains two epochs.
     The gradient-step counter restarts at zero, giving the second step a
     fresh decay trajectory. ``thetas`` must come from the grid search (a
     ThetaGridResult or a (theta_alpha, theta_beta, theta_gamma) triple).

@@ -2,8 +2,8 @@
 
 Everything here re-derives results with explicit loops and scalar formulas,
 sharing no code with the package beyond numpy itself. The production code
-is vectorized (k-d tree queries, batched gathers, einsum aggregation);
-agreement between the two routes is what the tests certify.
+is vectorized (dense distance-matrix selection, batched gathers, einsum
+aggregation); agreement between the two routes is what the tests certify.
 """
 
 import math

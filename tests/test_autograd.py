@@ -1,5 +1,8 @@
 """Unit tests for the tape-based reverse-mode engine."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,6 +235,21 @@ def test_cross_tape_inputs_rejected():
     b = t2.leaf([1.0])
     with pytest.raises(ValueError):
         apply(t1, "add", [a, b])
+
+
+def test_dropped_tape_is_freed_without_cyclic_collector():
+    gc.disable()
+    try:
+        tape = Tape()
+        x = tape.leaf(RNG(9).normal(size=(3, 4)))
+        loss = scalar_of((x * x).exp().softmax_rows())
+        backward(tape, loss)
+        ref = weakref.ref(tape)
+        del tape
+        assert ref() is None
+        assert x.tape is None and loss.tape is None
+    finally:
+        gc.enable()
 
 
 def test_unknown_op_kind_rejected():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from axcrf.cli import dispatch
+from axcrf.cli import dispatch, main
 from axcrf.pointcloud import read_labels
 
 SMALL_SYNTH = ["--n", "600", "--classes", "3", "--noise", "0.1", "--seed", "1"]
@@ -267,7 +267,22 @@ def test_eval_skips_uncovered_points(pipeline, capsys, tmp_path):
 
 
 def test_console_script_help():
+    # the declared entry point is axcrf.cli:main, and the module form runs
+    # the same command line without an installed script
+    import os
     import subprocess
-    proc = subprocess.run(["axcrf", "--help"], capture_output=True, text=True)
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    scripts = (root / "pyproject.toml").read_text().split("[project.scripts]", 1)[1]
+    assert 'axcrf = "axcrf.cli:main"' in scripts.split("\n[", 1)[0]
+    assert callable(main)
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "axcrf", "--help"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "refine" in proc.stdout

@@ -55,6 +55,25 @@ def test_duplicate_points_never_return_query_itself():
         np.testing.assert_array_equal(got_i, [i for i in range(6) if i != q])
 
 
+def test_single_point_has_empty_neighbor_rows():
+    index = build_index(np.zeros((1, 3)))
+    all_i, all_d = index.nearest_others_all(24)
+    assert all_i.shape == all_d.shape == (1, 0)
+    one_i, one_d = index.nearest_others(0, 3)
+    assert one_i.shape == one_d.shape == (0,)
+
+
+def test_overflowing_distances_never_return_query_itself():
+    # finite coordinates whose squared distances overflow to +inf
+    pos = np.array([[0.0, 0, 0], [1e200, 0, 0], [-1e200, 0, 0], [3e200, 0, 0]])
+    with np.errstate(over="ignore"):
+        got_i, got_d = build_index(pos).nearest_others_all(2)
+        for q in range(4):
+            exp_i, exp_d = brute_sorted_others(pos, q)
+            np.testing.assert_array_equal(got_i[q], exp_i[:2])
+            np.testing.assert_array_equal(got_d[q], exp_d[:2])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 40), st.integers(1, 12), st.booleans(),
        st.integers(0, 2**31 - 1))
@@ -68,6 +87,29 @@ def test_nearest_others_property(m, k, duplicates, seed):
     take = min(k, m - 1)
     np.testing.assert_array_equal(got_i, exp_i[:take])
     np.testing.assert_allclose(got_d, exp_d[:take], atol=1e-12)
+
+
+def _resampled(rng):
+    # the recipe's regime: 256 samples drawn with replacement from ~100 points
+    return rng.normal(size=(100, 3))[rng.integers(0, 100, size=256)]
+
+
+@pytest.mark.parametrize("cloud", [
+    _resampled,
+    lambda rng: rng.integers(0, 6, size=(300, 3)).astype(float),
+    lambda rng: np.full((200, 3), 1.5),
+], ids=["resampled", "lattice", "identical"])
+def test_nearest_others_all_duplicate_regime_bit_equal(cloud):
+    pos = cloud(np.random.default_rng(11))
+    m = pos.shape[0]
+    index = build_index(pos)
+    got = {rank: index.nearest_others_all(rank) for rank in (24, 192, m - 1)}
+    for q in range(m):
+        exp_i, exp_d = brute_sorted_others(pos, q)
+        for rank, (got_i, got_d) in got.items():
+            assert got_i.shape == got_d.shape == (m, rank)
+            np.testing.assert_array_equal(got_i[q], exp_i[:rank])
+            np.testing.assert_array_equal(got_d[q], exp_d[:rank])
 
 
 # -- atrous selection ------------------------------------------------------
