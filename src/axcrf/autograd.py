@@ -318,6 +318,17 @@ def _op_concatenate(vals, attrs):
     return out, bk
 
 
+def _scatter_rows(shape, idx, rows) -> np.ndarray:
+    """Zeros of ``shape`` with rows[i] added at row idx[i]; repeated indices
+    accumulate. One bincount per column sums in index order, as np.add.at
+    does, so the result is bit-equal to it."""
+    flat = rows.reshape(idx.size, int(np.prod(shape[1:])))
+    out = np.empty((shape[0], flat.shape[1]))
+    for j in range(flat.shape[1]):
+        out[:, j] = np.bincount(idx, weights=flat[:, j], minlength=shape[0])
+    return out.reshape(shape)
+
+
 def _op_gather_rows(vals, attrs):
     (a,) = vals
     idx = np.asarray(attrs["indices"], dtype=np.intp)
@@ -330,10 +341,7 @@ def _op_gather_rows(vals, attrs):
     out = a[idx]
 
     def bk(g):
-        # repeated indices accumulate
-        z = np.zeros_like(a)
-        np.add.at(z, idx, g)
-        return (z,)
+        return (_scatter_rows(a.shape, idx, g),)
 
     return out, bk
 
@@ -404,8 +412,7 @@ def _op_weighted_gather_sum(vals, attrs):
     out = np.einsum("nk,nkc->nc", w, gathered)
 
     def bk(g):
-        dx = np.zeros_like(x)
-        np.add.at(dx, idx, w[:, :, None] * g[:, None, :])
+        dx = _scatter_rows(x.shape, idx.ravel(), w[:, :, None] * g[:, None, :])
         dw = np.einsum("nkc,nc->nk", gathered, g)
         return dx, dw
 

@@ -63,7 +63,7 @@ _TRAIN_KEYS = ("lr", "lr_decay", "lr_decay_every", "lr_floor", "momentum",
 _PLUMBING_KEYS = ("input", "out", "model", "log", "columns", "column_map",
                   "preset", "block", "shift", "min_points", "val_fraction",
                   "tile", "threads", "classes", "noise", "n", "extent",
-                  "band_height", "skip_header", "val_input", "artificial_input",
+                  "band_height", "skip_header", "artificial_input",
                   "artificial_labels", "thetas", "machine", "include_labels")
 _KNOWN_KEYS = set(_TRAIN_KEYS) | set(_PLUMBING_KEYS)
 
@@ -361,14 +361,19 @@ def _cmd_refine(args, file_config):
             parts = thetas_arg.split(",")
         else:
             parts = list(thetas_arg)
-        if len(parts) != 3:
-            raise CliError("--thetas needs alpha,beta,gamma", code=1)
-        thetas = tuple(float(p) for p in parts)
+        try:
+            thetas = tuple(float(p) for p in parts)
+        except (TypeError, ValueError):
+            thetas = ()
+        # the chained comparison is false for nan as well
+        if len(thetas) != 3 or not all(0.0 < t < float("inf") for t in thetas):
+            raise CliError(f"--thetas needs three positive numbers alpha,beta,gamma, "
+                           f"got {thetas_arg!r}", code=1)
     else:
-        grid_blocks = _grid_blocks_for_search(merged, vb, ckpt.model,
-                                              config.n_sample, config.seed)
+        # the grid samples are passed straight in, so they are freed before step 2
         thetas = grid_search_thetas(
-            grid_blocks, C, D_list=config.D_list, K=config.crf_K, r=config.r,
+            _grid_blocks_for_search(merged, vb, ckpt.model, config.n_sample, config.seed),
+            C, D_list=config.D_list, K=config.crf_K, r=config.r,
             alpha_candidates=config.theta_alpha_candidates,
             beta_candidates=config.theta_beta_candidates,
             gamma_candidates=config.theta_gamma_candidates,

@@ -106,6 +106,10 @@ class AXcrfParams:
     def n_classes(self) -> int:
         return self.levels[0].n_classes
 
+    @property
+    def max_neighbor_rank(self) -> int:
+        return max(lv.K * lv.D for lv in self.levels)
+
     @classmethod
     def initial(cls, C: int, D_list=(1, 2, 3, 4, 8, 16), K: int = 64, r: int = 5,
                 theta_alpha: float = 1.0, theta_beta: float = 0.1,
@@ -167,9 +171,19 @@ def gaussian_filters(positions: np.ndarray, features: np.ndarray, neighborhoods,
     idx = _neighbor_indices(neighborhoods, n)
     if idx.size and idx.max() >= n:
         raise ValueError("neighborhood index out of range")
+    return _filters(*_pair_d2(positions, features, idx), params)
 
+
+def _pair_d2(positions: np.ndarray, features: np.ndarray,
+             idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared position and feature distances of each (point, neighbor) pair."""
     pos_d2 = ((positions[:, None, :] - positions[idx]) ** 2).sum(axis=2)
     feat_d2 = ((features[:, None, :] - features[idx]) ** 2).sum(axis=2)
+    return pos_d2, feat_d2
+
+
+def _filters(pos_d2: np.ndarray, feat_d2: np.ndarray,
+             params: XcrfLevelParams) -> FilterResponse:
     B_f = np.exp(-pos_d2 / (2.0 * params.theta_alpha ** 2)
                  - feat_d2 / (2.0 * params.theta_beta ** 2))
     S_f = np.exp(-pos_d2 / (2.0 * params.theta_gamma ** 2))
@@ -238,20 +252,28 @@ def xcrf_forward(U: np.ndarray, positions: np.ndarray, features: np.ndarray,
     return out.values.copy()
 
 
-def axcrf_graph(tape: Tape, U: Tensor, positions: np.ndarray, features: np.ndarray,
-                params: AXcrfParams, index: NeighborIndex) -> tuple[Tensor, dict[str, Tensor]]:
-    """Record the full multi-stride stack; returns (summed unaries, bindings).
+def _level_geometry(positions, features, params: AXcrfParams, index: NeighborIndex,
+                    sorted_idx=None, sorted_dist=None) -> list[tuple]:
+    """Per level (neighbor indices, pos_d2, feat_d2), every stride selected
+    from one sort at the stack's largest rank."""
+    positions = np.asarray(positions, dtype=np.float64)
+    features = np.asarray(features, dtype=np.float64)
+    if sorted_idx is None:
+        sorted_idx, sorted_dist = index.nearest_others_all(params.max_neighbor_rank)
+    geometry = []
+    for lv in params.levels:
+        nbr_idx, _ = atrous_gather_all(index, lv.K, lv.D,
+                                       sorted_idx=sorted_idx, sorted_dist=sorted_dist)
+        geometry.append((nbr_idx, *_pair_d2(positions, features, nbr_idx)))
+    return geometry
 
-    Every level consumes the same input unaries (parallel composition) and
-    the per-level outputs are summed. The bindings map parameter names to
-    their leaf tensors so a trainer can read gradients after backward.
-    """
-    max_need = max(lv.K * lv.D for lv in params.levels)
-    sorted_idx, sorted_dist = index.nearest_others_all(max_need)
+
+def _stack_graph(tape: Tape, U: Tensor, params: AXcrfParams,
+                 geometry) -> tuple[Tensor, dict[str, Tensor]]:
     bindings: dict[str, Tensor] = {}
     total = None
     shared_leaves = None
-    for li, lv in enumerate(params.levels):
+    for li, (lv, (nbr_idx, pos_d2, feat_d2)) in enumerate(zip(params.levels, geometry)):
         if params.shared and shared_leaves is not None:
             wb_t, ws_t, compat_t = shared_leaves
         else:
@@ -264,23 +286,43 @@ def axcrf_graph(tape: Tape, U: Tensor, positions: np.ndarray, features: np.ndarr
             bindings[f"xcrf.{key}.compat"] = compat_t
             if params.shared:
                 shared_leaves = (wb_t, ws_t, compat_t)
-        nbr_idx, _ = atrous_gather_all(index, lv.K, lv.D,
-                                       sorted_idx=sorted_idx, sorted_dist=sorted_dist)
-        filters = gaussian_filters(positions, features, nbr_idx, lv)
+        filters = _filters(pos_d2, feat_d2, lv)
         out = xcrf_graph(tape, U, filters.B_f, filters.S_f, nbr_idx,
                          wb_t, ws_t, compat_t, lv.r)
         total = out if total is None else total + out
     return total, bindings
 
 
+def axcrf_graph(tape: Tape, U: Tensor, positions: np.ndarray, features: np.ndarray,
+                params: AXcrfParams, index: NeighborIndex,
+                sorted_idx: np.ndarray | None = None,
+                sorted_dist: np.ndarray | None = None) -> tuple[Tensor, dict[str, Tensor]]:
+    """Record the full multi-stride stack; returns (summed unaries, bindings).
+
+    Every level consumes the same input unaries (parallel composition) and
+    the per-level outputs are summed. The bindings map parameter names to
+    their leaf tensors so a trainer can read gradients after backward.
+
+    All strides come from one sorted-neighbor pass at
+    ``params.max_neighbor_rank``. Pass ``sorted_idx``/``sorted_dist`` from a
+    deeper ``index.nearest_others_all`` to share one sort with the unary
+    classifier; its leading columns equal a shallower query bit for bit.
+    """
+    geometry = _level_geometry(positions, features, params, index, sorted_idx, sorted_dist)
+    return _stack_graph(tape, U, params, geometry)
+
+
 def axcrf_forward(U: np.ndarray, positions: np.ndarray, features: np.ndarray,
-                  params: AXcrfParams, index: NeighborIndex) -> np.ndarray:
+                  params: AXcrfParams, index: NeighborIndex,
+                  sorted_idx: np.ndarray | None = None,
+                  sorted_dist: np.ndarray | None = None) -> np.ndarray:
     """Full stack in inference mode: sum of per-level refinements of U."""
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2 or U.shape[1] != params.n_classes:
         raise ValueError(f"unaries shape {U.shape} does not match {params.n_classes} classes")
     tape = Tape()
-    out, _ = axcrf_graph(tape, tape.leaf(U), positions, features, params, index)
+    out, _ = axcrf_graph(tape, tape.leaf(U), positions, features, params, index,
+                         sorted_idx=sorted_idx, sorted_dist=sorted_dist)
     return out.values.copy()
 
 
@@ -305,29 +347,36 @@ def grid_search_thetas(blocks, C: int, D_list=(1, 2, 3, 4, 8, 16), K: int = 64,
     (alpha, beta, gamma) iteration order. ``blocks`` is a sequence of
     (U, positions, features, labels, index) tuples.
 
+    Blocks run outer and triples inner: each block is sorted once and its
+    per-level neighbors and squared distances are computed once, so a
+    triple pays only for its Gaussian responses and the mean field, with
+    outputs bit-equal to ``axcrf_forward``.
+
     Bandwidths stay fixed afterwards; only the filter weights and the
     compatibility matrix train.
     """
     blocks = list(blocks)
     if not blocks:
         raise ValueError("grid search needs at least one validation block")
+    triples = [(ta, tb, tg) for ta in alpha_candidates for tb in beta_candidates
+               for tg in gamma_candidates]
+    params = [AXcrfParams.initial(C, D_list=D_list, K=K, r=r, theta_alpha=ta,
+                                  theta_beta=tb, theta_gamma=tg, shared=shared)
+              for ta, tb, tg in triples]
+    correct = [0] * len(triples)
+    total = 0
+    for U, positions, features, labels, index in blocks:
+        geometry = _level_geometry(positions, features, params[0], index)
+        for t, p in enumerate(params):
+            tape = Tape()
+            out, _ = _stack_graph(tape, tape.leaf(U), p, geometry)
+            correct[t] += int((predict(out.values) == np.asarray(labels)).sum())
+        total += len(U)
     best = None
-    for ta in alpha_candidates:
-        for tb in beta_candidates:
-            for tg in gamma_candidates:
-                params = AXcrfParams.initial(C, D_list=D_list, K=K, r=r,
-                                             theta_alpha=ta, theta_beta=tb,
-                                             theta_gamma=tg, shared=shared)
-                correct = 0
-                total = 0
-                for U, positions, features, labels, index in blocks:
-                    out = axcrf_forward(U, positions, features, params, index)
-                    pred = predict(out)
-                    correct += int((pred == np.asarray(labels)).sum())
-                    total += pred.shape[0]
-                oa = correct / total if total else 0.0
-                if best is None or oa > best.overall_accuracy:
-                    best = ThetaGridResult(ta, tb, tg, oa)
+    for (ta, tb, tg), right in zip(triples, correct):
+        oa = right / total if total else 0.0
+        if best is None or oa > best.overall_accuracy:
+            best = ThetaGridResult(ta, tb, tg, oa)
     return best
 
 

@@ -169,10 +169,10 @@ def run_synthetic_experiment(config: ExperimentConfig | None = None,
 
     # bandwidth grid search on the validation blocks, unary weights frozen
     t3 = time.time()
-    grid_blocks = _grid_blocks_for_search(labeled, val_blocks, step1.model,
-                                          cfg.n_sample, cfg.seed)
-    thetas = grid_search_thetas(grid_blocks, cfg.n_classes, D_list=cfg.D_list,
-                                K=cfg.crf_K, r=cfg.r)
+    # the grid samples are passed straight in, so they are freed before step 2
+    thetas = grid_search_thetas(
+        _grid_blocks_for_search(labeled, val_blocks, step1.model, cfg.n_sample, cfg.seed),
+        cfg.n_classes, D_list=cfg.D_list, K=cfg.crf_K, r=cfg.r)
     t_grid = time.time() - t3
     say(f"thetas alpha={thetas.theta_alpha} beta={thetas.theta_beta} "
         f"gamma={thetas.theta_gamma} (grid OA {thetas.overall_accuracy:.4f}, "

@@ -94,6 +94,9 @@ class FeatureScaler:
     offset: np.ndarray
 
     def apply(self, cloud: PointCloud) -> PointCloud:
+        if cloud.n_features != self.scale.shape[0]:
+            raise ValueError(f"cloud has {cloud.n_features} feature columns, the "
+                             f"scaler was fit on {self.scale.shape[0]}")
         feats = cloud.features * self.scale + self.offset
         return PointCloud(cloud.positions, feats, cloud.labels, cloud.C, cloud.column_names)
 

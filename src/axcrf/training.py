@@ -46,7 +46,7 @@ __all__ = [
 
 
 class NumericError(RuntimeError):
-    """Optimization produced a non-finite loss."""
+    """Optimization produced a non-finite loss or gradient."""
 
 MAGIC = b"AXCRF"
 FORMAT_VERSION = 1
@@ -190,15 +190,27 @@ class ArtificialLabelSet:
         return h.hexdigest()
 
 
+def _shared_sort(model, axcrf, positions):
+    """(index, sorted_idx, sorted_dist): one neighbor sort at the deepest
+    rank that the classifier and, when attached, the stack read."""
+    index = build_index(positions)
+    rank = model.max_neighbor_rank
+    if axcrf is not None:
+        rank = max(rank, axcrf.max_neighbor_rank)
+    return (index, *index.nearest_others_all(rank))
+
+
 def pipeline_forward(model: UnaryModelParams, axcrf: AXcrfParams | None,
                      positions: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Eval-mode forward of the deliverable classifier: unary potentials,
     refined by the stack when one is attached."""
-    index = build_index(positions)
-    U = unary_forward(positions, features, model, index=index)
+    index, si, sd = _shared_sort(model, axcrf, positions)
+    U = unary_forward(positions, features, model, index=index, sorted_idx=si,
+                      sorted_dist=sd)
     if axcrf is None:
         return U
-    return axcrf_forward(U, positions, features, axcrf, index)
+    return axcrf_forward(U, positions, features, axcrf, index, sorted_idx=si,
+                         sorted_dist=sd)
 
 
 def coverage_vote_predict(cloud: PointCloud, blocks, forward_fn, n_sample: int,
@@ -261,21 +273,26 @@ def _block_grads(model, axcrf, cloud, block, labels_dense, config,
     if lab.min() < 0:
         raise ValueError("sampled a point with no label; artificial labels "
                          "must cover every block member")
+    index, si, sd = _shared_sort(model, axcrf, pos)
     tape = Tape()
-    index = build_index(pos)
-    logits, binds = unary_graph(tape, pos, feat, model, training=True,
-                                dropout_rng=dropout_rng, index=index)
+    out, binds = unary_graph(tape, pos, feat, model, training=True,
+                             dropout_rng=dropout_rng, index=index,
+                             sorted_idx=si, sorted_dist=sd)
     if axcrf is not None:
-        out, xbinds = axcrf_graph(tape, logits, pos, feat, axcrf, index)
+        out, xbinds = axcrf_graph(tape, out, pos, feat, axcrf, index,
+                                  sorted_idx=si, sorted_dist=sd)
         binds = {**binds, **xbinds}
-    else:
-        out = logits
     loss = cross_entropy_graph(tape, out, lab)
     if not math.isfinite(float(loss.values)):
         raise NumericError(f"non-finite loss {float(loss.values)} on block "
                            f"at origin {block.origin}")
     g = backward(tape, loss)
-    return {name: g[t.node_id] for name, t in binds.items()}, float(loss.values), idx.size
+    grads = {name: g[t.node_id] for name, t in binds.items()}
+    for name, grad in grads.items():
+        if not np.all(np.isfinite(grad)):
+            raise NumericError(f"non-finite gradient of {name} on block "
+                               f"at origin {block.origin}")
+    return grads, float(loss.values), idx.size
 
 
 def _step_value(velocity, name, grad, momentum):

@@ -4,11 +4,30 @@ Everything here re-derives results with explicit loops and scalar formulas,
 sharing no code with the package beyond numpy itself. The production code
 is vectorized (dense distance-matrix selection, batched gathers, einsum
 aggregation); agreement between the two routes is what the tests certify.
+The one exception is ``triple_outer_grid``, which replays the bandwidth
+search from the package's public per-call forward, one fresh neighbor sort
+per (triple, block).
 """
 
 import math
 
 import numpy as np
+
+
+# -- duplicate-heavy point sets ------------------------------------------------
+
+
+def _resampled(rng):
+    # the recipe's regime: 256 samples drawn with replacement from ~100 points
+    return rng.normal(size=(100, 3))[rng.integers(0, 100, size=256)]
+
+
+# name -> rng -> M x 3 positions, each rich in repeated points and tied distances
+DUPLICATE_CLOUDS = {
+    "resampled": _resampled,
+    "lattice": lambda rng: rng.integers(0, 6, size=(300, 3)).astype(float),
+    "identical": lambda rng: np.full((200, 3), 1.5),
+}
 
 
 # -- neighbor selection -------------------------------------------------------
@@ -98,3 +117,31 @@ def random_instance(rng, n=None, c=None, k=None, r=None):
     Wc = rng.normal(size=(c, c)) * (1.0 - np.eye(c))
     ta, tb, tg = rng.uniform(0.3, 3.0, size=3)
     return U, positions, features, nbr, wb, ws, Wc, ta, tb, tg, r
+
+
+# -- bandwidth grid search --------------------------------------------------------
+
+
+def triple_outer_grid(blocks, C, D_list, K, r, alpha_candidates, beta_candidates,
+                      gamma_candidates):
+    """Triples outer, blocks inner, one ``axcrf_forward`` per (triple, block);
+    the first triple with the strictly best accuracy wins.
+    Returns ((alpha, beta, gamma), overall accuracy)."""
+    from axcrf.crf import AXcrfParams, axcrf_forward
+
+    best = None
+    for ta in alpha_candidates:
+        for tb in beta_candidates:
+            for tg in gamma_candidates:
+                params = AXcrfParams.initial(C, D_list=D_list, K=K, r=r,
+                                             theta_alpha=ta, theta_beta=tb,
+                                             theta_gamma=tg)
+                correct = total = 0
+                for U, positions, features, labels, index in blocks:
+                    out = axcrf_forward(U, positions, features, params, index)
+                    correct += int((out.argmax(axis=1) == labels).sum())
+                    total += labels.size
+                oa = correct / total
+                if best is None or oa > best[1]:
+                    best = ((ta, tb, tg), oa)
+    return best

@@ -93,6 +93,32 @@ def test_gather_rows_and_weighted_gather_sum():
     np.testing.assert_allclose(out.values, expect, atol=1e-12)
 
 
+def test_scatter_backward_bit_equal_to_add_at_on_duplicates():
+    # 256 x 12 neighbor indices drawn from 100 rows, as in a resampled block
+    rng = RNG(10)
+    idx = rng.integers(0, 100, size=(256, 12))
+    x = rng.normal(size=(100, 4))
+    w = rng.normal(size=(256, 12))
+    g_rows = rng.normal(size=(idx.size, 4))
+    g_out = rng.normal(size=(256, 4))
+
+    tape = Tape()
+    x_t = tape.leaf(x)
+    gathered = x_t.gather_rows(idx.ravel())
+    backward(tape, apply(tape, "sum", [gathered * tape.leaf(g_rows)]))
+    expect = np.zeros_like(x)
+    np.add.at(expect, idx.ravel(), g_rows)
+    np.testing.assert_array_equal(x_t.grad, expect)
+
+    tape = Tape()
+    x_t = tape.leaf(x)
+    out = apply(tape, "weighted-gather-sum", [x_t, tape.leaf(w)], indices=idx)
+    backward(tape, apply(tape, "sum", [out * tape.leaf(g_out)]))
+    expect = np.zeros_like(x)
+    np.add.at(expect, idx, w[:, :, None] * g_out[:, None, :])
+    np.testing.assert_array_equal(x_t.grad, expect)
+
+
 def test_one_hot_argmax_values_and_zero_gradient():
     a = np.array([[0.2, 0.7, 0.1], [0.5, 0.5, 0.0]])
     tape = Tape()

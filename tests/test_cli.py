@@ -79,6 +79,15 @@ def test_config_unknown_key_is_named(tmp_path, capsys):
     assert "learnig_rate" in capsys.readouterr().err
 
 
+def test_config_val_input_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"val_input": "val.txt"}))
+    code = dispatch(["synth", "--out", str(tmp_path / "x.txt"),
+                     "--config", str(cfg)])
+    assert code == 1
+    assert "val_input" in capsys.readouterr().err
+
+
 def test_config_invalid_json(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
@@ -210,6 +219,38 @@ def test_refine_rejects_mismatched_labels(pipeline, trained, tmp_path):
                      "--config", str(pipeline / "tiny.json"),
                      "--thetas", "1.0,0.1,1.0"] + TINY_TRAIN)
     assert code == 2
+
+
+def _refine_argv(d, trained, out, artificial_input, thetas="1.0,0.1,1.0"):
+    return ["refine", "--input", str(d / "cloud.txt"), "--out", str(out),
+            "--model", str(trained), "--artificial-input", str(artificial_input),
+            "--artificial-labels", str(d / "art.txt"),
+            "--config", str(d / "tiny.json"), "--thetas", thetas] + TINY_TRAIN
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_refine_feature_width_mismatch_is_data_error(pipeline, trained, tmp_path,
+                                                     capsys, width):
+    # the model was trained on two feature columns
+    rows = []
+    for line in (pipeline / "unlabeled.txt").read_text().strip().split("\n"):
+        xyz, feats = line.split()[:3], line.split()[3:]
+        rows.append(" ".join(xyz + (feats + ["0.5"])[:width]))
+    odd = tmp_path / "odd.txt"
+    odd.write_text("\n".join(rows) + "\n")
+    code = dispatch(_refine_argv(pipeline, trained, tmp_path / "x.ckpt", odd))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{width} feature columns" in err and "fit on 2" in err
+
+
+@pytest.mark.parametrize("thetas", ["x,y,z", "1.0,0.1", "nan,0.1,1.0", "0,0.1,1.0"])
+def test_refine_malformed_thetas_is_usage_error(pipeline, trained, tmp_path, capsys,
+                                                thetas):
+    code = dispatch(_refine_argv(pipeline, trained, tmp_path / "x.ckpt",
+                                 pipeline / "unlabeled.txt", thetas=thetas))
+    assert code == 1
+    assert "--thetas" in capsys.readouterr().err
 
 
 def test_predict_labels_every_point(pipeline):

@@ -17,7 +17,8 @@ from axcrf.crf import (AXcrfParams, XcrfLevelParams, axcrf_forward,
                        gaussian_filters, grid_search_thetas, predict,
                        xcrf_forward, xcrf_graph)
 from axcrf.neighbors import NeighborIndex, atrous_gather_all
-from refimpl import random_instance, ref_filters, ref_xcrf
+from refimpl import (DUPLICATE_CLOUDS, random_instance, ref_filters, ref_xcrf,
+                     triple_outer_grid)
 
 
 # -- independent reference lives in refimpl.py ------------------------------
@@ -385,6 +386,64 @@ def test_grid_search_tie_keeps_earliest_candidate():
                              gamma_candidates=(4.0, 1.0))
     assert (res.theta_alpha, res.theta_beta, res.theta_gamma) == (2.0, 0.25, 4.0)
     assert res.overall_accuracy == 1.0
+
+
+@pytest.mark.parametrize("cloud", list(DUPLICATE_CLOUDS.values()), ids=list(DUPLICATE_CLOUDS))
+def test_grid_search_matches_triple_outer_oracle(cloud):
+    # recipe shapes: six strides up to rank 12 x 16 = 192 over duplicate-heavy
+    # samples; the search sorts each block once and reuses it for every triple
+    rng = np.random.default_rng(15)
+    blocks = []
+    for _ in range(2):
+        pos = cloud(rng)
+        n = pos.shape[0]
+        # a repeated point repeats its features too
+        feat = np.stack([np.sin(pos.sum(axis=1)), np.cos(3.0 * pos[:, 2])], axis=1)
+        labels = rng.integers(0, 4, size=n)
+        U = rng.normal(scale=0.5, size=(n, 4))
+        U[np.arange(n), labels] += 0.3
+        blocks.append((U, pos, feat, labels, NeighborIndex(pos)))
+    grid = dict(D_list=(1, 2, 3, 4, 8, 16), K=12, r=5, alpha_candidates=(0.5, 2.0),
+                beta_candidates=(0.05, 0.5), gamma_candidates=(1.0, 4.0))
+    res = grid_search_thetas(blocks, 4, **grid)
+    triple, oa = triple_outer_grid(blocks, 4, **grid)
+    assert (res.theta_alpha, res.theta_beta, res.theta_gamma) == triple
+    assert res.overall_accuracy == oa
+
+
+def _signed_params(rng, C, D_list=(1, 2, 3, 4, 8, 16), K=12):
+    # signed weights and compatibilities move argmaxes, unlike the initial ones
+    params = AXcrfParams.initial(C, D_list=D_list, K=K, r=3,
+                                 theta_alpha=float(rng.uniform(0.5, 2.0)),
+                                 theta_beta=float(rng.uniform(0.05, 0.5)),
+                                 theta_gamma=float(rng.uniform(0.5, 4.0)))
+    for lv in params.levels:
+        lv.bilateral_weight, lv.spatial_weight = rng.normal(scale=2.0, size=2)
+        lv.compat = rng.normal(size=(C, C)) * (1.0 - np.eye(C))
+    return params
+
+
+@pytest.mark.parametrize("cloud", list(DUPLICATE_CLOUDS.values()), ids=list(DUPLICATE_CLOUDS))
+def test_shared_sort_and_geometry_are_bit_equal(cloud):
+    # a deeper sort handed in, or one block geometry reused across parameter
+    # sets as the grid search does, must reproduce the per-call forward
+    from axcrf.crf import _level_geometry, _stack_graph
+    rng = np.random.default_rng(16)
+    pos = cloud(rng)
+    feat = np.stack([np.sin(pos.sum(axis=1)), np.cos(3.0 * pos[:, 2])], axis=1)
+    U = rng.normal(size=(pos.shape[0], 4))
+    index = NeighborIndex(pos)
+    deep_i, deep_d = index.nearest_others_all(200)
+    geometry = _level_geometry(pos, feat, _signed_params(rng, 4), index)
+    for _ in range(3):
+        params = _signed_params(rng, 4)
+        want = axcrf_forward(U, pos, feat, params, index)
+        assert np.any(predict(want) != predict(U))
+        shared = axcrf_forward(U, pos, feat, params, index, deep_i, deep_d)
+        tape = Tape()
+        reused, _ = _stack_graph(tape, tape.leaf(U), params, geometry)
+        np.testing.assert_array_equal(shared, want)
+        np.testing.assert_array_equal(reused.values, want)
 
 
 def test_grid_search_validation():

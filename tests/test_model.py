@@ -11,6 +11,7 @@ from axcrf.model import (MlpParams, UnaryModelParams, XConvParams,
                          init_unary_model, init_xconv, named_param_arrays,
                          unary_forward, unary_graph, xconv_forward)
 from axcrf.neighbors import build_index, atrous_gather_all
+from refimpl import DUPLICATE_CLOUDS
 
 
 def np_mlp(x, p):
@@ -117,6 +118,20 @@ def test_unary_forward_matches_blockwise_reference():
         f = nxt
     want = np_mlp(f, model.head)
     np.testing.assert_allclose(got, want, atol=1e-10, rtol=0)
+
+
+@pytest.mark.parametrize("cloud", list(DUPLICATE_CLOUDS.values()), ids=list(DUPLICATE_CLOUDS))
+def test_unary_forward_reads_a_deeper_shared_sort(cloud):
+    # the refinement stack's rank-192 sort, handed to the classifier
+    rng = np.random.default_rng(6)
+    pos = cloud(rng)
+    feat = rng.normal(size=(pos.shape[0], 2))
+    model = tiny_model(K=12)
+    index = build_index(pos)
+    deep_i, deep_d = index.nearest_others_all(192)
+    np.testing.assert_array_equal(
+        unary_forward(pos, feat, model, index=index, sorted_idx=deep_i, sorted_dist=deep_d),
+        unary_forward(pos, feat, model, index=index))
 
 
 def test_translation_invariance():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from axcrf.neighbors import (AtrousNeighborhood, NeighborIndex, atrous_gather,
                              atrous_gather_all, build_index)
-from refimpl import brute_atrous, brute_sorted_others
+from refimpl import DUPLICATE_CLOUDS, brute_atrous, brute_sorted_others
 
 
 def random_cloud(rng, m, duplicates=False):
@@ -89,16 +89,7 @@ def test_nearest_others_property(m, k, duplicates, seed):
     np.testing.assert_allclose(got_d, exp_d[:take], atol=1e-12)
 
 
-def _resampled(rng):
-    # the recipe's regime: 256 samples drawn with replacement from ~100 points
-    return rng.normal(size=(100, 3))[rng.integers(0, 100, size=256)]
-
-
-@pytest.mark.parametrize("cloud", [
-    _resampled,
-    lambda rng: rng.integers(0, 6, size=(300, 3)).astype(float),
-    lambda rng: np.full((200, 3), 1.5),
-], ids=["resampled", "lattice", "identical"])
+@pytest.mark.parametrize("cloud", list(DUPLICATE_CLOUDS.values()), ids=list(DUPLICATE_CLOUDS))
 def test_nearest_others_all_duplicate_regime_bit_equal(cloud):
     pos = cloud(np.random.default_rng(11))
     m = pos.shape[0]
@@ -110,6 +101,21 @@ def test_nearest_others_all_duplicate_regime_bit_equal(cloud):
             assert got_i.shape == got_d.shape == (m, rank)
             np.testing.assert_array_equal(got_i[q], exp_i[:rank])
             np.testing.assert_array_equal(got_d[q], exp_d[:rank])
+
+
+@pytest.mark.parametrize("cloud", list(DUPLICATE_CLOUDS.values()), ids=list(DUPLICATE_CLOUDS))
+def test_shallow_query_is_prefix_of_deep_query(cloud):
+    # consumers of one sample share a single deep sort and read its leading
+    # columns, so those must equal a shallower query bit for bit
+    pos = cloud(np.random.default_rng(12))
+    m = pos.shape[0]
+    index = build_index(pos)
+    deep_i, deep_d = index.nearest_others_all(192)
+    for k in (1, 24, 191, m - 1):
+        got_i, got_d = index.nearest_others_all(k)
+        n = min(k, deep_i.shape[1])
+        np.testing.assert_array_equal(got_i[:, :n], deep_i[:, :n])
+        np.testing.assert_array_equal(got_d[:, :n], deep_d[:, :n])
 
 
 # -- atrous selection ------------------------------------------------------

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from axcrf import training
 from axcrf.crf import AXcrfParams
 from axcrf.model import unary_forward
 from axcrf.pointcloud import PointCloud, generate_synthetic, slice_blocks
@@ -207,6 +208,19 @@ def test_numeric_blowup_raises(step1_run):
     with pytest.raises(NumericError):
         with np.errstate(all="ignore"):
             train_step1(s.cloud, s.train_blocks, s.val_blocks, config)
+
+
+def test_non_finite_gradient_raises(step1_run, monkeypatch):
+    # a finite loss whose gradient overflows must stop training too
+    s = step1_run
+    real_backward = training.backward
+
+    def overflowing(tape, loss):
+        return {k: np.full_like(g, np.inf) for k, g in real_backward(tape, loss).items()}
+
+    monkeypatch.setattr(training, "backward", overflowing)
+    with pytest.raises(NumericError, match="gradient"):
+        train_step1(s.cloud, s.train_blocks, s.val_blocks, s.config)
 
 
 # -- artificial labels ---------------------------------------------------------------------
