@@ -1,6 +1,7 @@
 """Command-line pipeline: subcommands, exit codes, config merging."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -327,3 +328,44 @@ def test_console_script_help():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "refine" in proc.stdout
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc only")
+def test_entry_point_reuses_freed_arrays(monkeypatch, capsys):
+    # a block pass holds a few MB-sized arrays at once and frees them; after
+    # the entry point's malloc tuning, repeating the pass faults in no fresh
+    # pages (untuned glibc trims the freed heap and faults all 30k again).
+    # Run in a child so that this process keeps its own allocator settings.
+    import os
+    import subprocess
+    from pathlib import Path
+
+    probe = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from axcrf.cli import _keep_freed_arrays\n"
+        "_keep_freed_arrays()\n"
+        "def block_pass():\n"
+        "    live = [np.ones(1 << 18) for _ in range(6)]   # six 2 MB arrays\n"
+        "    return sum(a.sum() for a in live)\n"
+        "block_pass()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(10):\n"
+        "    block_pass()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, check=True)
+    assert int(proc.stdout) < 100
+
+    # main, the process entry point, is what applies it
+    import axcrf.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_arrays", lambda: calls.append(1))
+    monkeypatch.setattr(sys, "argv", ["axcrf", "--help"])
+    with pytest.raises(SystemExit):
+        main()
+    assert calls == [1]
