@@ -632,8 +632,8 @@ def _keep_freed_arrays():
     """Make glibc malloc reuse freed arrays instead of handing them back.
 
     Every block pass allocates and frees the same few MB of arrays. By
-    default the larger ones are mmap'd and unmapped each time, so each pass
-    faults in fresh zeroed pages: about 120k faults and a third of the wall
+    default glibc hands the larger ones back to the kernel (munmap or heap
+    trim), so each pass faults in fresh zeroed pages: about 120k faults and a third of the wall
     time of ``labels`` on 512-point samples, a kernel cost that swings with
     the machine's memory load. Arrays up to 32 MB now come from the heap and
     up to 128 MB of freed heap is kept. Process-wide, so only the entry
