@@ -177,14 +177,27 @@ def _train_config_from(args, file_config, C):
         raise CliError(f"bad training configuration: {exc}", code=1) from exc
 
 
-def _load_cloud(path, cmap, C, skip_header=False):
+def _load_cloud(path, cmap, C, args, file_config):
     from .pointcloud import load_pointcloud
+    skip_header = bool(_merged(args, file_config, "skip_header", False))
     try:
         return load_pointcloud(path, cmap, C, skip_header=skip_header)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+
+
+def _load_unlabeled(path, args, file_config, ckpt=None):
+    """A point file read without its label column, in the feature scale of
+    ``ckpt`` when one is given."""
+    cmap = _resolve_columns(args, file_config, labeled=False, path=path)
+    cmap.pop("label", None)
+    cloud = _load_cloud(path, cmap, 2 if ckpt is None else ckpt.config.C,
+                        args, file_config)
+    if ckpt is not None and ckpt.scaler is not None:
+        cloud = ckpt.scaler.apply(cloud)
+    return cloud
 
 
 def _load_ckpt(path):
@@ -197,32 +210,35 @@ def _load_ckpt(path):
         raise CliError(f"checkpoint {path}: {exc}") from exc
 
 
-def _split_blocks_labeled(cloud, args, file_config):
-    """Tile-split a labeled cloud into train/val parts and slice both."""
-    import numpy as np
-    from .experiment import merge_clouds, shift_blocks
-    from .pointcloud import normalize_features, slice_blocks, split_by_tiles
+def _slicing(args, file_config, min_points=64):
+    """(side, shift, min_points) of the slicing grid."""
+    side = float(_merged(args, file_config, "block", 25.0))
+    shift = float(_merged(args, file_config, "shift", side / 2.0))
+    return side, shift, int(_merged(args, file_config, "min_points", min_points))
 
+
+def _split_labeled(args, file_config, C, missing_label):
+    """Load the labeled --input and tile-split it into sliced train and
+    validation parts."""
+    from .pointcloud import split_and_slice
+
+    cmap = _resolve_columns(args, file_config, labeled=True, path=args.input)
+    if "label" not in cmap:
+        raise CliError(missing_label)
+    cloud = _load_cloud(args.input, cmap, C, args, file_config)
     val_fraction = float(_merged(args, file_config, "val_fraction", 0.2))
     if not 0 < val_fraction < 1:
         raise CliError(f"val_fraction must be in (0, 1), got {val_fraction}", code=1)
     tile = float(_merged(args, file_config, "tile", 10.0))
-    side = float(_merged(args, file_config, "block", 25.0))
-    shift = float(_merged(args, file_config, "shift", side / 2.0))
-    min_points = int(_merged(args, file_config, "min_points", 64))
-
-    train_c, val_c = split_by_tiles(cloud, tile_side=tile,
-                                    fractions=(1.0 - val_fraction, val_fraction),
-                                    seed=int(_merged(args, file_config, "seed", 0)))
-    train_c, scaler = normalize_features(train_c)
-    val_c = scaler.apply(val_c)
-    tb = slice_blocks(train_c, side=side, shift=shift, min_points=min_points)
-    vb = slice_blocks(val_c, side=side, shift=shift, min_points=min_points)
-    if not tb or not vb:
+    side, shift, min_points = _slicing(args, file_config)
+    split = split_and_slice(cloud, tile_side=tile,
+                            fractions=(1.0 - val_fraction, val_fraction),
+                            seed=int(_merged(args, file_config, "seed", 0)),
+                            side=side, shift=shift, min_points=min_points)
+    if not split.train_blocks or not split.val_blocks:
         raise CliError("block slicing left an empty train or validation set; "
                        "lower --min-points or use larger partitions")
-    merged = merge_clouds(train_c, val_c)
-    return merged, tb, shift_blocks(vb, train_c.n_points), scaler
+    return split
 
 
 # subcommand bodies
@@ -230,13 +246,8 @@ def _split_blocks_labeled(cloud, args, file_config):
 
 def _cmd_slice(args, file_config):
     from .pointcloud import slice_blocks
-    cmap = _resolve_columns(args, file_config, labeled=False, path=args.input)
-    cmap.pop("label", None)
-    cloud = _load_cloud(args.input, cmap, C=2,
-                        skip_header=bool(_merged(args, file_config, "skip_header", False)))
-    side = float(_merged(args, file_config, "block", 25.0))
-    shift = float(_merged(args, file_config, "shift", side / 2.0))
-    min_points = int(_merged(args, file_config, "min_points", 64))
+    cloud = _load_unlabeled(args.input, args, file_config)
+    side, shift, min_points = _slicing(args, file_config)
     try:
         blocks = slice_blocks(cloud, side=side, shift=shift, min_points=min_points)
     except ValueError as exc:
@@ -264,15 +275,11 @@ def _cmd_train(args, file_config):
     if C is None:
         raise CliError("train needs --classes", code=1)
     C = int(C)
-    cmap = _resolve_columns(args, file_config, labeled=True, path=args.input)
-    if "label" not in cmap:
-        raise CliError("train needs a label column; add label= to --columns")
-    cloud = _load_cloud(args.input, cmap, C,
-                        skip_header=bool(_merged(args, file_config, "skip_header", False)))
-    merged, tb, vb, scaler = _split_blocks_labeled(cloud, args, file_config)
+    split = _split_labeled(args, file_config, C,
+                           "train needs a label column; add label= to --columns")
     config = _train_config_from(args, file_config, C)
-    ckpt = train_step1(merged, tb, vb, config, scaler=scaler,
-                       log_path=_merged(args, file_config, "log"))
+    ckpt = train_step1(split.labeled, split.train_blocks, split.val_blocks, config,
+                       scaler=split.scaler, log_path=_merged(args, file_config, "log"))
     save_checkpoint(ckpt, args.out)
     print(f"best validation OA {ckpt.best_val_oa:.4f} at iteration "
           f"{ckpt.iteration}; checkpoint written to {args.out}")
@@ -280,19 +287,11 @@ def _cmd_train(args, file_config):
 
 
 def _cmd_labels(args, file_config):
-    import numpy as np
     from .pointcloud import slice_blocks, write_labels
     from .training import generate_artificial_labels
     ckpt = _load_ckpt(args.model)
-    cmap = _resolve_columns(args, file_config, labeled=False, path=args.input)
-    cmap.pop("label", None)
-    cloud = _load_cloud(args.input, cmap, ckpt.config.C,
-                        skip_header=bool(_merged(args, file_config, "skip_header", False)))
-    if ckpt.scaler is not None:
-        cloud = ckpt.scaler.apply(cloud)
-    side = float(_merged(args, file_config, "block", 25.0))
-    shift = float(_merged(args, file_config, "shift", side / 2.0))
-    min_points = int(_merged(args, file_config, "min_points", 64))
+    cloud = _load_unlabeled(args.input, args, file_config, ckpt)
+    side, shift, min_points = _slicing(args, file_config)
     blocks = slice_blocks(cloud, side=side, shift=shift, min_points=min_points)
     if not blocks:
         raise CliError("no blocks survived slicing; lower --min-points")
@@ -306,29 +305,20 @@ def _cmd_labels(args, file_config):
 
 def _cmd_refine(args, file_config):
     import numpy as np
-    from .crf import grid_search_thetas
-    from .experiment import _grid_blocks_for_search
     from .pointcloud import read_labels, slice_blocks
     from .training import (ArtificialLabelSet, checkpoint_id, save_checkpoint,
-                           train_step2)
+                           select_thetas, train_step2)
     ckpt = _load_ckpt(args.model)
     C = ckpt.config.C
-    cmap = _resolve_columns(args, file_config, labeled=True, path=args.input)
-    if "label" not in cmap:
-        raise CliError("refine needs a labeled cloud; add label= to --columns")
-    cloud = _load_cloud(args.input, cmap, C,
-                        skip_header=bool(_merged(args, file_config, "skip_header", False)))
-    merged, tb, vb, _ = _split_blocks_labeled(cloud, args, file_config)
+    split = _split_labeled(args, file_config, C,
+                           "refine needs a labeled cloud; add label= to --columns")
 
     art_path = _merged(args, file_config, "artificial_input")
     lab_path = _merged(args, file_config, "artificial_labels")
     if art_path is None or lab_path is None:
         raise CliError("refine needs --artificial-input and --artificial-labels",
                        code=1)
-    ucmap = _default_columns(art_path, labeled=False)
-    art_cloud = _load_cloud(art_path, ucmap, C)
-    if ckpt.scaler is not None:
-        art_cloud = ckpt.scaler.apply(art_cloud)
+    art_cloud = _load_unlabeled(art_path, args, file_config, ckpt)
     try:
         dense = read_labels(lab_path)
     except (OSError, ValueError) as exc:
@@ -338,9 +328,7 @@ def _cmd_refine(args, file_config):
                        f"{art_cloud.n_points} points")
     if dense.max(initial=-1) >= C:
         raise CliError(f"artificial labels exceed the class count {C}")
-    side = float(_merged(args, file_config, "block", 25.0))
-    shift = float(_merged(args, file_config, "shift", side / 2.0))
-    min_points = int(_merged(args, file_config, "min_points", 64))
+    side, shift, min_points = _slicing(args, file_config)
     art_blocks = slice_blocks(art_cloud, side=side, shift=shift,
                               min_points=min_points)
     members = np.zeros(art_cloud.n_points, dtype=bool)
@@ -370,19 +358,12 @@ def _cmd_refine(args, file_config):
             raise CliError(f"--thetas needs three positive numbers alpha,beta,gamma, "
                            f"got {thetas_arg!r}", code=1)
     else:
-        # the grid samples are passed straight in, so they are freed before step 2
-        thetas = grid_search_thetas(
-            _grid_blocks_for_search(merged, vb, ckpt.model, config.n_sample, config.seed),
-            C, D_list=config.D_list, K=config.crf_K, r=config.r,
-            alpha_candidates=config.theta_alpha_candidates,
-            beta_candidates=config.theta_beta_candidates,
-            gamma_candidates=config.theta_gamma_candidates,
-            shared=config.shared_levels)
+        thetas = select_thetas(ckpt.model, split.labeled, split.val_blocks, config)
         print(f"grid search selected alpha={thetas.theta_alpha} "
               f"beta={thetas.theta_beta} gamma={thetas.theta_gamma}",
               file=sys.stderr)
-    refined = train_step2(ckpt, merged, tb, artificial, vb, config=config,
-                          thetas=thetas,
+    refined = train_step2(ckpt, split.labeled, split.train_blocks, artificial,
+                          split.val_blocks, config=config, thetas=thetas,
                           log_path=_merged(args, file_config, "log"))
     save_checkpoint(refined, args.out)
     print(f"best validation OA {refined.best_val_oa:.4f}; refined checkpoint "
@@ -395,16 +376,9 @@ def _cmd_predict(args, file_config):
     from .pointcloud import slice_blocks, write_labels
     from .training import coverage_vote_predict, pipeline_forward
     ckpt = _load_ckpt(args.model)
-    cmap = _resolve_columns(args, file_config, labeled=False, path=args.input)
-    cmap.pop("label", None)
-    cloud = _load_cloud(args.input, cmap, ckpt.config.C,
-                        skip_header=bool(_merged(args, file_config, "skip_header", False)))
-    if ckpt.scaler is not None:
-        cloud = ckpt.scaler.apply(cloud)
-    side = float(_merged(args, file_config, "block", 25.0))
-    shift = float(_merged(args, file_config, "shift", side / 2.0))
+    cloud = _load_unlabeled(args.input, args, file_config, ckpt)
     # every input line must receive a label, so empty blocks are kept
-    min_points = int(_merged(args, file_config, "min_points", 1))
+    side, shift, min_points = _slicing(args, file_config, min_points=1)
     blocks = slice_blocks(cloud, side=side, shift=shift, min_points=min_points)
     if not blocks:
         raise CliError("no blocks to predict on")
@@ -438,9 +412,7 @@ def _cmd_eval(args, file_config):
     cmap = _resolve_columns(args, file_config, labeled=True, path=args.truth)
     if "label" not in cmap:
         raise CliError("eval needs a label column in the truth file")
-    truth_cloud = _load_cloud(args.truth, cmap, C,
-                              skip_header=bool(_merged(args, file_config, "skip_header", False)))
-    truth = truth_cloud.labels
+    truth = _load_cloud(args.truth, cmap, C, args, file_config).labels
     if pred.size != truth.size:
         raise CliError(f"{args.pred} holds {pred.size} labels for "
                        f"{truth.size} truth points")
@@ -566,11 +538,7 @@ def build_parser():
     p.add_argument("--classes", type=int, help="number of classes")
     p.add_argument("--machine", action="store_true", default=None,
                    help="JSON report instead of the text table")
-    p.add_argument("--config", help="JSON configuration file; flags win")
-    p.add_argument("--columns", help="column roles for the truth file")
-    p.add_argument("--skip-header", dest="skip_header", action="store_true",
-                   default=None)
-    p.add_argument("--threads", type=int)
+    _add_common(p, needs_input=False, needs_out=False)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled cloud")
     _add_common(p, needs_input=False)

@@ -127,7 +127,6 @@ class AXcrfParams:
 class FilterResponse:
     B_f: np.ndarray   # N x K bilateral responses in (0, 1]
     S_f: np.ndarray   # N x K spatial responses in (0, 1]
-    G_w: np.ndarray   # N x K weighted mix
 
 
 @dataclass
@@ -187,8 +186,7 @@ def _filters(pos_d2: np.ndarray, feat_d2: np.ndarray,
     B_f = np.exp(-pos_d2 / (2.0 * params.theta_alpha ** 2)
                  - feat_d2 / (2.0 * params.theta_beta ** 2))
     S_f = np.exp(-pos_d2 / (2.0 * params.theta_gamma ** 2))
-    G_w = params.bilateral_weight * B_f + params.spatial_weight * S_f
-    return FilterResponse(B_f=B_f, S_f=S_f, G_w=G_w)
+    return FilterResponse(B_f=B_f, S_f=S_f)
 
 
 def _hollow_mask(C: int) -> np.ndarray:

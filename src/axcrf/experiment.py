@@ -1,8 +1,9 @@
 """End-to-end synthetic experiment: generate, slice, train, refine, report.
 
-One function drives the whole two-step protocol on a synthetic cloud so the
-acceptance suite and the command line share the exact same recipe. Every
-stage is seeded; two runs with the same ExperimentConfig are bit-identical.
+One function drives the whole two-step protocol on a synthetic cloud for
+the acceptance suite; its data preparation and bandwidth search are the
+library calls the command line makes too. Every stage is seeded; two runs
+with the same ExperimentConfig are bit-identical.
 """
 
 import json
@@ -12,18 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .crf import grid_search_thetas
 from .metrics import confusion_matrix, scores, format_report
 from .model import unary_forward
-from .neighbors import build_index
-from .pointcloud import (Block, PointCloud, generate_synthetic,
-                         normalize_features, sample_block, block_seed,
-                         slice_blocks, split_by_tiles, write_labels)
+from .pointcloud import PointCloud, generate_synthetic, split_and_slice, write_labels
 from .training import (TrainConfig, coverage_vote_predict, evaluate_oa,
                        generate_artificial_labels, pipeline_forward,
-                       save_checkpoint, train_step1, train_step2)
+                       save_checkpoint, select_thetas, train_step1, train_step2)
 
-_SALT_GRID = 606
 _SALT_TEST = 808      # one salt for both test evaluations: identical samples,
                       # identical votes, so the step-2 vs step-1 comparison
                       # isolates the model change
@@ -80,37 +76,6 @@ class ExperimentConfig:
                            crf_K=self.crf_K, r=self.r)
 
 
-def merge_clouds(a: PointCloud, b: PointCloud) -> PointCloud:
-    if a.C != b.C or a.n_features != b.n_features:
-        raise ValueError("clouds disagree on classes or feature width")
-    labels = None
-    if a.labels is not None and b.labels is not None:
-        labels = np.concatenate([a.labels, b.labels])
-    return PointCloud(np.vstack([a.positions, b.positions]),
-                      np.vstack([a.features, b.features]), labels, a.C,
-                      a.column_names)
-
-
-def shift_blocks(blocks, offset: int):
-    """Re-anchor block member indices into a merged cloud."""
-    return [Block(b.origin, b.side, b.member_indices + offset, b.local_positions)
-            for b in blocks]
-
-
-def _grid_blocks_for_search(cloud, blocks, model, n_sample, seed):
-    """One seeded sample per validation block with frozen unary potentials."""
-    out = []
-    for b in blocks:
-        s = sample_block(b, n_sample, block_seed(seed, b, _SALT_GRID))
-        idx = s.sample_indices
-        pos = cloud.positions[idx]
-        feat = cloud.features[idx]
-        index = build_index(pos)
-        U = unary_forward(pos, feat, model, index=index)
-        out.append((U, pos, feat, cloud.labels[idx], index))
-    return out
-
-
 def run_synthetic_experiment(config: ExperimentConfig | None = None,
                              out_dir=None, verbose: bool = False) -> dict:
     """Run the full protocol and return the measured numbers.
@@ -132,22 +97,14 @@ def run_synthetic_experiment(config: ExperimentConfig | None = None,
     t0 = time.time()
     cloud = generate_synthetic(cfg.preset, N=cfg.n_points, C=cfg.n_classes,
                                noise=cfg.noise, seed=cfg.seed)
-    train_c, val_c, test_c = split_by_tiles(cloud, tile_side=cfg.tile_side,
-                                            fractions=cfg.fractions, seed=cfg.seed)
-    train_c, scaler = normalize_features(train_c)
-    val_c = scaler.apply(val_c)
-    test_c = scaler.apply(test_c)
-
-    train_blocks = slice_blocks(train_c, side=cfg.block_side, shift=cfg.block_shift,
-                                min_points=cfg.min_points)
-    val_blocks_local = slice_blocks(val_c, side=cfg.block_side, shift=cfg.block_shift,
-                                    min_points=cfg.min_points)
-    test_blocks = slice_blocks(test_c, side=cfg.block_side, shift=cfg.block_shift,
-                               min_points=cfg.min_points)
-    labeled = merge_clouds(train_c, val_c)
-    val_blocks = shift_blocks(val_blocks_local, train_c.n_points)
-    say(f"train {train_c.n_points} pts / {len(train_blocks)} blocks; "
-        f"val {val_c.n_points} / {len(val_blocks)}; "
+    split = split_and_slice(cloud, tile_side=cfg.tile_side, fractions=cfg.fractions,
+                            seed=cfg.seed, side=cfg.block_side,
+                            shift=cfg.block_shift, min_points=cfg.min_points)
+    labeled, train_blocks, val_blocks = split.labeled, split.train_blocks, split.val_blocks
+    test_c, test_blocks = split.held_out[0]
+    n_train, n_val = split.n_train, labeled.n_points - split.n_train
+    say(f"train {n_train} pts / {len(train_blocks)} blocks; "
+        f"val {n_val} / {len(val_blocks)}; "
         f"test {test_c.n_points} / {len(test_blocks)}")
 
     t_setup = time.time() - t0
@@ -155,7 +112,7 @@ def run_synthetic_experiment(config: ExperimentConfig | None = None,
     # step 1: classifier alone, best checkpoint by validation accuracy
     t1 = time.time()
     step1 = train_step1(labeled, train_blocks, val_blocks,
-                        cfg.train_config(cfg.max_epochs_step1), scaler=scaler,
+                        cfg.train_config(cfg.max_epochs_step1), scaler=split.scaler,
                         log_path=None if out is None else out / "step1.jsonl")
     t_step1 = time.time() - t1
     say(f"step1 best val OA {step1.best_val_oa:.4f} ({t_step1:.0f}s)")
@@ -169,10 +126,7 @@ def run_synthetic_experiment(config: ExperimentConfig | None = None,
 
     # bandwidth grid search on the validation blocks, unary weights frozen
     t3 = time.time()
-    # the grid samples are passed straight in, so they are freed before step 2
-    thetas = grid_search_thetas(
-        _grid_blocks_for_search(labeled, val_blocks, step1.model, cfg.n_sample, cfg.seed),
-        cfg.n_classes, D_list=cfg.D_list, K=cfg.crf_K, r=cfg.r)
+    thetas = select_thetas(step1.model, labeled, val_blocks, step1.config)
     t_grid = time.time() - t3
     say(f"thetas alpha={thetas.theta_alpha} beta={thetas.theta_beta} "
         f"gamma={thetas.theta_gamma} (grid OA {thetas.overall_accuracy:.4f}, "
@@ -211,7 +165,7 @@ def run_synthetic_experiment(config: ExperimentConfig | None = None,
 
     results = {
         "experiment": asdict(cfg),
-        "counts": {"train_points": train_c.n_points, "val_points": val_c.n_points,
+        "counts": {"train_points": n_train, "val_points": n_val,
                    "test_points": test_c.n_points, "train_blocks": len(train_blocks),
                    "val_blocks": len(val_blocks), "test_blocks": len(test_blocks)},
         "step1_val_oa": step1.best_val_oa,

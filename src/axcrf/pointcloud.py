@@ -4,14 +4,15 @@ Clouds are plain-text files, one point per line (whitespace- or
 comma-separated). Slicing follows the two-grid scheme: a base grid of
 ``side`` x ``side`` blocks anchored at the cloud's min x,y plus a second
 grid shifted diagonally by ``shift``, so every base-grid edge is interior
-to some offset block. Coordinates inside a block are re-centered on the
-block center (z untouched by default).
+to some offset block. ``split_and_slice`` is the data preparation every
+training run shares: tile split, train-fit normalization, slicing, and the
+train+validation merge.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +20,7 @@ __all__ = [
     "PointCloud", "Block", "SampledBlock", "FeatureScaler",
     "load_pointcloud", "save_pointcloud", "write_labels", "read_labels",
     "normalize_features", "slice_blocks", "sample_block", "block_seed",
-    "split_by_tiles", "generate_synthetic",
+    "split_by_tiles", "TileSplit", "split_and_slice", "generate_synthetic",
 ]
 
 
@@ -68,11 +69,6 @@ class Block:
     origin: tuple[float, float]    # min-corner x, y in meters
     side: float
     member_indices: np.ndarray     # into the parent cloud
-    local_positions: np.ndarray    # member positions minus block center (z kept)
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.origin[0] + self.side / 2.0, self.origin[1] + self.side / 2.0)
 
     @property
     def n_members(self) -> int:
@@ -195,7 +191,7 @@ def normalize_features(cloud: PointCloud) -> tuple[PointCloud, FeatureScaler]:
 
 
 def _grid_blocks(cloud: PointCloud, anchor_x: float, anchor_y: float,
-                 side: float, min_points: int, center_z: bool) -> list[Block]:
+                 side: float, min_points: int) -> list[Block]:
     x, y = cloud.positions[:, 0], cloud.positions[:, 1]
     ix = np.floor((x - anchor_x) / side).astype(np.int64)
     iy = np.floor((y - anchor_y) / side).astype(np.int64)
@@ -208,20 +204,12 @@ def _grid_blocks(cloud: PointCloud, anchor_x: float, anchor_y: float,
             continue
         gx, gy = ix[group[0]], iy[group[0]]
         origin = (anchor_x + gx * side, anchor_y + gy * side)
-        cx, cy = origin[0] + side / 2.0, origin[1] + side / 2.0
-        members = np.sort(group)
-        local = cloud.positions[members].copy()
-        local[:, 0] -= cx
-        local[:, 1] -= cy
-        if center_z:
-            local[:, 2] -= local[:, 2].mean()
-        blocks.append(Block(origin=origin, side=side, member_indices=members,
-                            local_positions=local))
+        blocks.append(Block(origin=origin, side=side, member_indices=np.sort(group)))
     return blocks
 
 
 def slice_blocks(cloud: PointCloud, side: float = 25.0, shift: float = 12.5,
-                 min_points: int = 64, center_z: bool = False) -> list[Block]:
+                 min_points: int = 64) -> list[Block]:
     """Cut the cloud into side x side blocks on two overlapping grids.
 
     The base grid is anchored at the cloud's min x,y; the second grid is
@@ -237,8 +225,8 @@ def slice_blocks(cloud: PointCloud, side: float = 25.0, shift: float = 12.5,
         return []
     min_x = float(cloud.positions[:, 0].min())
     min_y = float(cloud.positions[:, 1].min())
-    blocks = _grid_blocks(cloud, min_x, min_y, side, min_points, center_z)
-    blocks += _grid_blocks(cloud, min_x + shift, min_y + shift, side, min_points, center_z)
+    blocks = _grid_blocks(cloud, min_x, min_y, side, min_points)
+    blocks += _grid_blocks(cloud, min_x + shift, min_y + shift, side, min_points)
     return blocks
 
 
@@ -302,6 +290,46 @@ def split_by_tiles(cloud: PointCloud, tile_side: float = 100.0,
         parts.append(cloud.subset(np.flatnonzero(mask)))
         start = cut
     return parts
+
+
+@dataclass
+class TileSplit:
+    """A labeled cloud prepared for training by ``split_and_slice``."""
+
+    labeled: PointCloud        # the train part followed by the validation part
+    n_train: int               # points of the train part at the front of labeled
+    train_blocks: list[Block]
+    val_blocks: list[Block]    # member indices into labeled
+    scaler: FeatureScaler      # fit on the train part, applied to every part
+    held_out: list[tuple[PointCloud, list[Block]]]   # parts after the second
+
+
+def split_and_slice(cloud: PointCloud, tile_side: float,
+                    fractions: tuple[float, ...], seed: int, side: float,
+                    shift: float, min_points: int) -> TileSplit:
+    """Tile-split the cloud by ``fractions`` (train, validation, then any
+    held-out parts), normalize every part with the scaler fit on the train
+    part, slice every part, and merge train and validation into one labeled
+    cloud whose validation blocks index past the train points."""
+    if len(fractions) < 2:
+        raise ValueError(f"need train and validation fractions, got {fractions}")
+    train, *rest = split_by_tiles(cloud, tile_side=tile_side,
+                                  fractions=fractions, seed=seed)
+    train, scaler = normalize_features(train)
+    parts = [train] + [scaler.apply(p) for p in rest]
+    blocks = [slice_blocks(p, side=side, shift=shift, min_points=min_points)
+              for p in parts]
+    val = parts[1]
+    labeled = PointCloud(np.vstack([train.positions, val.positions]),
+                         np.vstack([train.features, val.features]),
+                         None if cloud.labels is None
+                         else np.concatenate([train.labels, val.labels]),
+                         cloud.C, cloud.column_names)
+    val_blocks = [Block(b.origin, b.side, b.member_indices + train.n_points)
+                  for b in blocks[1]]
+    return TileSplit(labeled=labeled, n_train=train.n_points, train_blocks=blocks[0],
+                     val_blocks=val_blocks, scaler=scaler,
+                     held_out=list(zip(parts[2:], blocks[2:])))
 
 
 def _synth_strata(N: int, C: int, noise: float, rng: np.random.Generator,

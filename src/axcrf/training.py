@@ -13,8 +13,9 @@ classifier-plus-refinement pipeline after each epoch pair.
 
 Checkpoints serialize every trainable array plus the config snapshot as
 named little-endian float64 tensors behind a short text manifest, so a
-round trip is bit-exact and corruption is detected before any state is
-reconstructed.
+round trip is bit-exact. Structural corruption is detected before any
+state is reconstructed, and values that cannot form a model while
+reconstructing; either way loading raises a ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .autograd import Tape, backward
 from .crf import (AXcrfParams, XcrfLevelParams, ThetaGridResult, axcrf_forward,
-                  axcrf_graph, predict)
+                  axcrf_graph, grid_search_thetas, predict)
 from .model import (MlpParams, UnaryModelParams, XConvParams, cross_entropy_graph,
                     init_unary_model, named_param_arrays, unary_forward, unary_graph)
 from .neighbors import build_index
@@ -37,8 +38,9 @@ from .pointcloud import Block, FeatureScaler, PointCloud, block_seed, sample_blo
 
 __all__ = [
     "TrainConfig", "ModelCheckpoint", "ArtificialLabelSet", "EarlyStopper",
-    "learning_rate", "train_step1", "train_step2", "generate_artificial_labels",
-    "save_checkpoint", "load_checkpoint", "checkpoint_id", "pipeline_forward",
+    "learning_rate", "train_step1", "select_thetas", "train_step2",
+    "generate_artificial_labels", "save_checkpoint", "load_checkpoint",
+    "checkpoint_id", "pipeline_forward",
     "coverage_vote_predict", "evaluate_oa", "NumericError",
     "CheckpointError", "CorruptHeaderError", "TruncatedPayloadError",
     "VersionMismatchError", "MAGIC", "FORMAT_VERSION",
@@ -58,6 +60,7 @@ _SALT_VAL = 202
 _SALT_LABELS = 303
 _SALT_ORDER = 404
 _SALT_DROPOUT = 505
+_SALT_GRID = 606
 
 
 @dataclass
@@ -112,6 +115,13 @@ class TrainConfig:
             raise ValueError("block_channels and block_strides lengths differ")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
+        for name in ("theta_alpha_candidates", "theta_beta_candidates",
+                     "theta_gamma_candidates"):
+            values = getattr(self, name)
+            # the chained comparison is false for nan as well
+            if not values or not all(0.0 < v < math.inf for v in values):
+                raise ValueError(f"{name} must be positive finite numbers, "
+                                 f"got {values}")
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -477,6 +487,28 @@ def train_step1(cloud: PointCloud, train_blocks, val_blocks, config: TrainConfig
                            config=config, best_val_oa=best_oa, iteration=best_iter)
 
 
+def select_thetas(model: UnaryModelParams, cloud: PointCloud, val_blocks,
+                  config: TrainConfig) -> ThetaGridResult:
+    """Grid-search the stack's bandwidths on one seeded sample per
+    validation block, scored through the classifier's frozen unary
+    potentials; the search settings (levels, ranks, candidates, sharing)
+    come from ``config``."""
+    samples = []
+    for b in val_blocks:
+        s = sample_block(b, config.n_sample, block_seed(config.seed, b, _SALT_GRID))
+        idx = s.sample_indices
+        pos, feat = cloud.positions[idx], cloud.features[idx]
+        index = build_index(pos)
+        samples.append((unary_forward(pos, feat, model, index=index), pos, feat,
+                        cloud.labels[idx], index))
+    return grid_search_thetas(samples, config.C, D_list=config.D_list,
+                              K=config.crf_K, r=config.r,
+                              alpha_candidates=config.theta_alpha_candidates,
+                              beta_candidates=config.theta_beta_candidates,
+                              gamma_candidates=config.theta_gamma_candidates,
+                              shared=config.shared_levels)
+
+
 def generate_artificial_labels(checkpoint: ModelCheckpoint, cloud: PointCloud,
                                blocks) -> ArtificialLabelSet:
     """Predict every point of the unlabeled blocks with the validated
@@ -699,6 +731,7 @@ def _decode(data: bytes) -> dict[str, np.ndarray]:
     if count < 0:
         raise CorruptHeaderError(f"negative tensor count {count}")
     entries = []
+    expected = 0
     for _ in range(count):
         parts = read_line().split()
         if len(parts) != 4:
@@ -709,8 +742,10 @@ def _decode(data: bytes) -> dict[str, np.ndarray]:
             off, length = int(off_s), int(len_s)
         except ValueError:
             raise CorruptHeaderError(f"malformed manifest line: {parts}") from None
-        if off < 0 or length < 0 or length % 8:
+        # the writer lays tensors end to end, so any other offset is damage
+        if off != expected or length < 0 or length % 8:
             raise CorruptHeaderError(f"bad offset/length for tensor {name}")
+        expected += length
         n_elem = 1
         for d in shape:
             if d < 0:
@@ -738,21 +773,29 @@ def _require(tensors: dict, name: str) -> np.ndarray:
     return tensors[name]
 
 
+def _scalar(tensors: dict, name: str) -> float:
+    value = _require(tensors, name)
+    if value.shape != ():
+        raise CorruptHeaderError(f"tensor {name} has shape {value.shape}, "
+                                 f"expected a scalar")
+    return float(value)
+
+
 def _rebuild(tensors: dict[str, np.ndarray]) -> ModelCheckpoint:
     kw: dict = {}
     for name in _CONFIG_INTS:
-        kw[name] = int(_require(tensors, f"config.{name}"))
+        kw[name] = int(_scalar(tensors, f"config.{name}"))
     for name in _CONFIG_FLOATS:
-        kw[name] = float(_require(tensors, f"config.{name}"))
+        kw[name] = _scalar(tensors, f"config.{name}")
     for name in _CONFIG_BOOLS:
-        kw[name] = bool(int(_require(tensors, f"config.{name}")))
+        kw[name] = bool(int(_scalar(tensors, f"config.{name}")))
     for name in _CONFIG_INT_TUPLES:
         kw[name] = tuple(int(x) for x in _require(tensors, f"config.{name}"))
     for name in _CONFIG_FLOAT_TUPLES:
         kw[name] = tuple(float(x) for x in _require(tensors, f"config.{name}"))
     config = TrainConfig(**kw)
 
-    c_in = int(_require(tensors, "meta.c_in"))
+    c_in = int(_scalar(tensors, "meta.c_in"))
     blocks = []
     prev = c_in
     for bi, (c_out, d) in enumerate(zip(config.block_channels, config.block_strides)):
@@ -773,11 +816,11 @@ def _rebuild(tensors: dict[str, np.ndarray]) -> ModelCheckpoint:
                              dropout_rate=config.dropout_rate, C=config.C)
 
     thetas = None
-    if int(_require(tensors, "meta.has_thetas")):
+    if int(_scalar(tensors, "meta.has_thetas")):
         thetas = tuple(float(x) for x in _require(tensors, "meta.thetas"))
 
     axcrf = None
-    if int(_require(tensors, "meta.has_axcrf")):
+    if int(_scalar(tensors, "meta.has_axcrf")):
         if thetas is None:
             raise CorruptHeaderError("checkpoint has a refinement stack but no thetas")
         ta, tb, tg = thetas
@@ -785,22 +828,22 @@ def _rebuild(tensors: dict[str, np.ndarray]) -> ModelCheckpoint:
         for i, d in enumerate(config.D_list):
             key = "xcrf.shared" if config.shared_levels else f"xcrf.level{i}"
             levels.append(XcrfLevelParams(
-                bilateral_weight=float(_require(tensors, f"{key}.bilateral_weight")),
-                spatial_weight=float(_require(tensors, f"{key}.spatial_weight")),
+                bilateral_weight=_scalar(tensors, f"{key}.bilateral_weight"),
+                spatial_weight=_scalar(tensors, f"{key}.spatial_weight"),
                 compat=_require(tensors, f"{key}.compat").copy(),
                 theta_alpha=ta, theta_beta=tb, theta_gamma=tg,
                 K=config.crf_K, D=d, r=config.r))
         axcrf = AXcrfParams(levels=levels, shared=config.shared_levels)
 
     scaler = None
-    if int(_require(tensors, "meta.has_scaler")):
+    if int(_scalar(tensors, "meta.has_scaler")):
         scaler = FeatureScaler(scale=_require(tensors, "scaler.scale"),
                                offset=_require(tensors, "scaler.offset"))
 
     return ModelCheckpoint(model=model, axcrf=axcrf, thetas=thetas, scaler=scaler,
                            config=config,
-                           best_val_oa=float(_require(tensors, "meta.best_val_oa")),
-                           iteration=int(_require(tensors, "meta.iteration")),
+                           best_val_oa=_scalar(tensors, "meta.best_val_oa"),
+                           iteration=int(_scalar(tensors, "meta.iteration")),
                            version=FORMAT_VERSION)
 
 
@@ -809,7 +852,15 @@ def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
-    return _rebuild(_decode(Path(path).read_bytes()))
+    tensors = _decode(Path(path).read_bytes())
+    try:
+        return _rebuild(tensors)
+    except CheckpointError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        # a well-formed manifest whose values cannot rebuild the model, such
+        # as a config value TrainConfig rejects or a tuple of the wrong length
+        raise CorruptHeaderError(f"checkpoint values do not form a model: {exc}") from exc
 
 
 def checkpoint_id(ckpt: ModelCheckpoint) -> str:

@@ -254,6 +254,49 @@ def test_refine_malformed_thetas_is_usage_error(pipeline, trained, tmp_path, cap
     assert "--thetas" in capsys.readouterr().err
 
 
+def test_refine_skip_header_applies_to_artificial_input(pipeline, trained, tmp_path):
+    # the same headered files that labels accepts, refine accepts as well
+    for name in ("cloud.txt", "unlabeled.txt"):
+        width = len((pipeline / name).read_text().split("\n", 1)[0].split())
+        header = " ".join(["x", "y", "z"] + [f"f{i}" for i in range(1, width - 2)])
+        (tmp_path / name).write_text(header + "\n" + (pipeline / name).read_text())
+    assert dispatch(["labels", "--input", str(tmp_path / "unlabeled.txt"),
+                     "--out", str(tmp_path / "art.txt"), "--model", str(trained),
+                     "--block", "60", "--shift", "30", "--min-points", "16",
+                     "--skip-header"]) == 0
+    assert (tmp_path / "art.txt").read_bytes() == (pipeline / "art.txt").read_bytes()
+    argv = _refine_argv(pipeline, trained, tmp_path / "x.ckpt",
+                        tmp_path / "unlabeled.txt")
+    argv[argv.index("--input") + 1] = str(tmp_path / "cloud.txt")
+    assert dispatch(argv + ["--skip-header"]) == 0
+
+
+def test_refine_empty_theta_candidates_is_usage_error(pipeline, trained, tmp_path,
+                                                      capsys):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({**TINY_FILE, "theta_alpha_candidates": []}))
+    argv = _refine_argv(pipeline, trained, tmp_path / "x.ckpt",
+                        pipeline / "unlabeled.txt")
+    argv[argv.index("--config") + 1] = str(cfg)
+    i = argv.index("--thetas")
+    del argv[i:i + 2]                   # run the grid search
+    assert dispatch(argv) == 1
+    assert "theta_alpha_candidates" in capsys.readouterr().err
+
+
+def test_predict_non_scalar_config_is_data_error(pipeline, tmp_path, capsys):
+    from axcrf import training
+    tensors = training._checkpoint_tensors(
+        training.load_checkpoint(pipeline / "step2.ckpt"))
+    tensors["config.C"] = np.array([3.0, 3.0])
+    bad = tmp_path / "rank.ckpt"
+    bad.write_bytes(training._encode(tensors))
+    code = dispatch(["predict", "--input", str(pipeline / "unlabeled.txt"),
+                     "--out", str(tmp_path / "pred.txt"), "--model", str(bad)])
+    assert code == 2
+    assert "config.C" in capsys.readouterr().err
+
+
 def test_predict_labels_every_point(pipeline):
     pred = read_labels(pipeline / "pred.txt")
     assert pred.size == 600

@@ -60,18 +60,15 @@ def test_filters_match_scalar_recomputation():
         B, S = ref_filters(pos, feat, nbr, ta, tb, tg)
         np.testing.assert_allclose(resp.B_f, B, atol=1e-12, rtol=0)
         np.testing.assert_allclose(resp.S_f, S, atol=1e-12, rtol=0)
-        np.testing.assert_allclose(resp.G_w, wb * B + ws * S, atol=1e-12, rtol=0)
 
 
-def test_filter_response_bounds_and_mix():
+def test_filter_response_bounds():
     rng = np.random.default_rng(1)
     U, pos, feat, nbr, wb, ws, Wc, ta, tb, tg, r = random_instance(rng)
     params = make_params(2.0, 3.0, Wc, ta, tb, tg, nbr.shape[1], 1, 1)
     resp = gaussian_filters(pos, feat, nbr, params)
     assert np.all(resp.B_f > 0) and np.all(resp.B_f <= 1)
     assert np.all(resp.S_f > 0) and np.all(resp.S_f <= 1)
-    np.testing.assert_allclose(resp.G_w, 2.0 * resp.B_f + 3.0 * resp.S_f,
-                               atol=1e-12, rtol=0)
 
 
 def test_filter_symmetry_and_monotonicity():

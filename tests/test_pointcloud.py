@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from axcrf.pointcloud import (Block, FeatureScaler, PointCloud, block_seed,
                               generate_synthetic, load_pointcloud,
                               normalize_features, read_labels, sample_block,
-                              save_pointcloud, slice_blocks, split_by_tiles,
-                              write_labels)
+                              save_pointcloud, slice_blocks, split_and_slice,
+                              split_by_tiles, write_labels)
 
 CMAP = {"x": 0, "y": 1, "z": 2, "features": [3, 4], "label": 5}
 
@@ -134,16 +134,6 @@ def test_slice_blocks_validation():
                         min_points=cloud.n_points + 1) == []
 
 
-def test_local_positions_are_centered():
-    cloud = small_cloud(n=200, seed=4)
-    for b in slice_blocks(cloud, side=10.0, shift=5.0, min_points=1)[:5]:
-        cx, cy = b.center
-        lp = b.local_positions
-        pos = cloud.positions[b.member_indices]
-        np.testing.assert_allclose(lp[:, 0], pos[:, 0] - cx, atol=1e-12)
-        np.testing.assert_allclose(lp[:, 1], pos[:, 1] - cy, atol=1e-12)
-
-
 # -- sampling --------------------------------------------------------------
 
 
@@ -157,7 +147,7 @@ def test_sample_block_without_replacement_when_possible():
 
 def test_sample_block_with_replacement_covers_all_members():
     members = np.array([4, 9, 17])
-    block = Block((0.0, 0.0), 5.0, members, np.zeros((3, 3)))
+    block = Block((0.0, 0.0), 5.0, members)
     s = sample_block(block, n=10, seed=0)
     assert s.sample_indices.size == 10
     assert set(members) <= set(s.sample_indices)
@@ -165,7 +155,7 @@ def test_sample_block_with_replacement_covers_all_members():
 
 def test_sample_block_deterministic_by_seed():
     members = np.arange(50)
-    block = Block((0.0, 0.0), 5.0, members, np.zeros((50, 3)))
+    block = Block((0.0, 0.0), 5.0, members)
     a = sample_block(block, n=20, seed=3).sample_indices
     b = sample_block(block, n=20, seed=3).sample_indices
     c = sample_block(block, n=20, seed=4).sample_indices
@@ -174,8 +164,8 @@ def test_sample_block_deterministic_by_seed():
 
 
 def test_block_seed_depends_on_origin_and_salt():
-    b1 = Block((0.0, 0.0), 5.0, np.array([0]), np.zeros((1, 3)))
-    b2 = Block((5.0, 0.0), 5.0, np.array([0]), np.zeros((1, 3)))
+    b1 = Block((0.0, 0.0), 5.0, np.array([0]))
+    b2 = Block((5.0, 0.0), 5.0, np.array([0]))
     assert block_seed(1, b1) == block_seed(1, b1)
     assert block_seed(1, b1) != block_seed(1, b2)
     assert block_seed(1, b1) != block_seed(2, b1)
@@ -212,6 +202,35 @@ def test_split_by_tiles_validation():
         split_by_tiles(cloud, fractions=(0.5, 0.6))
     with pytest.raises(ValueError):
         split_by_tiles(cloud, tile_side=1e9, fractions=(0.5, 0.3, 0.2))
+
+
+def test_split_and_slice_matches_the_separate_stages():
+    cloud = small_cloud(n=500, seed=8)
+    split = split_and_slice(cloud, tile_side=5.0, fractions=(0.5, 0.3, 0.2), seed=2,
+                            side=10.0, shift=5.0, min_points=4)
+    train, val, test = split_by_tiles(cloud, tile_side=5.0, fractions=(0.5, 0.3, 0.2),
+                                      seed=2)
+    train, scaler = normalize_features(train)
+    np.testing.assert_array_equal(split.scaler.scale, scaler.scale)
+    assert split.n_train == train.n_points
+    labeled = split.labeled
+    np.testing.assert_array_equal(labeled.positions[:train.n_points], train.positions)
+    np.testing.assert_array_equal(labeled.features[train.n_points:],
+                                  scaler.apply(val).features)
+    np.testing.assert_array_equal(labeled.labels[train.n_points:], val.labels)
+    # validation blocks index the validation points inside the merged cloud
+    want = slice_blocks(scaler.apply(val), side=10.0, shift=5.0, min_points=4)
+    assert [b.origin for b in split.val_blocks] == [b.origin for b in want]
+    for got, ref in zip(split.val_blocks, want):
+        np.testing.assert_array_equal(labeled.positions[got.member_indices],
+                                      val.positions[ref.member_indices])
+    (held, held_blocks), = split.held_out
+    np.testing.assert_array_equal(held.features, scaler.apply(test).features)
+    assert len(held_blocks) == len(slice_blocks(held, side=10.0, shift=5.0,
+                                                min_points=4))
+    with pytest.raises(ValueError):
+        split_and_slice(cloud, tile_side=5.0, fractions=(1.0,), seed=2,
+                        side=10.0, shift=5.0, min_points=4)
 
 
 # -- synthetic presets -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Schedule, early stopping, checkpoints, coverage voting, both steps."""
 
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -10,9 +11,9 @@ import pytest
 from axcrf import training
 from axcrf.crf import AXcrfParams
 from axcrf.model import unary_forward
-from axcrf.pointcloud import PointCloud, generate_synthetic, slice_blocks
-from axcrf.training import (ArtificialLabelSet, CorruptHeaderError, EarlyStopper,
-                            ModelCheckpoint, NumericError, TrainConfig,
+from axcrf.pointcloud import FeatureScaler, PointCloud, generate_synthetic, slice_blocks
+from axcrf.training import (ArtificialLabelSet, CheckpointError, CorruptHeaderError,
+                            EarlyStopper, ModelCheckpoint, NumericError, TrainConfig,
                             TruncatedPayloadError, VersionMismatchError,
                             checkpoint_id, coverage_vote_predict, evaluate_oa,
                             generate_artificial_labels, learning_rate,
@@ -110,6 +111,9 @@ def test_train_config_validation():
         TrainConfig(C=2, dropout_rate=1.0)
     with pytest.raises(ValueError):
         TrainConfig(C=2, block_channels=(8,), block_strides=(1, 2))
+    for bad in ((), (0.5, 0.0), (-1.0,), (math.nan,), (math.inf,)):
+        with pytest.raises(ValueError, match="theta_beta_candidates"):
+            TrainConfig(C=2, theta_beta_candidates=bad)
 
 
 # -- coverage voting -------------------------------------------------------------------
@@ -398,3 +402,40 @@ def test_checkpoint_version_mismatch(tmp_path, step1_run):
     path.write_bytes(bytes(raw))
     with pytest.raises(VersionMismatchError, match="99"):
         load_checkpoint(path)
+
+
+def test_checkpoint_non_scalar_config_field_is_corrupt(tmp_path, step1_run):
+    tensors = training._checkpoint_tensors(step1_run.ckpt)
+    tensors["config.C"] = np.array([3.0, 3.0])     # consistent shape, wrong rank
+    path = tmp_path / "rank.ckpt"
+    path.write_bytes(training._encode(tensors))
+    with pytest.raises(CorruptHeaderError, match="config.C has shape"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_manifest_fuzz(tmp_path, step2_run):
+    # every truncation inside the manifest, and two bit flips of every
+    # manifest byte (so every field of every line), must raise a
+    # CheckpointError or load the very same model; nothing else may escape
+    ckpt = dataclasses.replace(step2_run.ck2, scaler=FeatureScaler(
+        np.array([1.0, 2.0]), np.array([0.0, -0.5])))
+    raw = training._encode(training._checkpoint_tensors(ckpt))
+    count = int(raw[6:raw.index(b"\n", 6)])
+    end = 6
+    for _ in range(count + 1):
+        end = raw.index(b"\n", end) + 1
+    path = tmp_path / "fuzz.ckpt"
+    mutants = [raw[:cut] for cut in range(end)]
+    for i in range(end):
+        for bit in (0x01, 0x08):
+            flipped = bytearray(raw)
+            flipped[i] ^= bit
+            mutants.append(bytes(flipped))
+    for data in mutants:
+        path.write_bytes(data)
+        try:
+            back = load_checkpoint(path)
+        except CheckpointError:
+            continue
+        assert checkpoint_id(back) == checkpoint_id(ckpt)
+
