@@ -45,6 +45,17 @@ def _apply_threads(argv):
     return None
 
 
+def _thread_count(text):
+    """argparse type for --threads: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
 class CliError(Exception):
     """Carries the process exit code for expected failures."""
 
@@ -99,16 +110,24 @@ def _parse_columns(text):
             if key == "features":
                 if ":" in value:
                     a, b = value.split(":", 1)
-                    cmap[key] = list(range(int(a), int(b)))
+                    cmap[key] = list(range(_column_index(a), _column_index(b)))
                 else:
-                    cmap[key] = [int(v) for v in value.split("+")]
+                    cmap[key] = [_column_index(v) for v in value.split("+")]
             elif key in ("x", "y", "z", "label"):
-                cmap[key] = int(value)
+                cmap[key] = _column_index(value)
             else:
                 raise CliError(f"unknown column role {key!r}", code=1)
         except ValueError as exc:
             raise CliError(f"malformed column assignment {part!r}", code=1) from exc
     return cmap
+
+
+def _column_index(text):
+    # Python indexing would silently read a negative index from the end
+    index = int(text)
+    if index < 0:
+        raise CliError(f"negative column index {index}", code=1)
+    return index
 
 
 def _default_columns(path, labeled):
@@ -466,7 +485,7 @@ def _add_common(p, needs_input=True, needs_out=True):
                    help="column roles, e.g. x=0,y=1,z=2,features=3:5,label=6")
     p.add_argument("--skip-header", dest="skip_header", action="store_true",
                    default=None, help="ignore the first line of point files")
-    p.add_argument("--threads", type=int,
+    p.add_argument("--threads", type=_thread_count,
                    help="cap math-library threads; 1 for bit-exact runs")
 
 

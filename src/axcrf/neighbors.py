@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NeighborIndex", "AtrousNeighborhood", "build_index", "atrous_gather"]
+__all__ = ["NeighborIndex", "AtrousNeighborhood", "build_index", "atrous_gather",
+           "atrous_gather_all"]
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,8 @@ class NeighborIndex:
     """Immutable exact k-NN index over an M x 3 position snapshot.
 
     Queries select from dense distance rows, so memory grows as M^2: an
-    all-points query at M = 2048, k = 1024 peaks near 155 MB.
+    all-points query at M = 2048, k = 1024 peaks near 67 MB of arrays
+    (tracemalloc), or 113 MB when most rows tie at their cutoff.
     """
 
     def __init__(self, positions: np.ndarray):
@@ -55,27 +57,45 @@ class NeighborIndex:
 
     def _nearest(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Exact k nearest others of each query point, ties to lower index."""
-        n = queries.size
+        n, m = queries.size, len(self)
         p = self.positions
         # (dx^2 + dy^2) + dz^2 with dx = p_j - p_i: np.linalg.norm's order
-        dist = np.zeros((n, len(self)))
-        for axis in range(3):
-            dist += np.square(p[:, axis] - p[queries, axis][:, None])
+        dist = np.subtract(p[:, 0], p[queries, 0][:, None])
+        np.square(dist, out=dist)
+        tmp = np.empty_like(dist)
+        for axis in (1, 2):
+            np.subtract(p[:, axis], p[queries, axis][:, None], out=tmp)
+            np.square(tmp, out=tmp)
+            dist += tmp
         np.sqrt(dist, out=dist)
         rows = np.arange(n)
         dist[rows, queries] = np.inf
-        kth = np.partition(dist, k - 1, axis=1)[:, [k - 1]]
+        # every entry at or below the row's k-th distance, ties included
+        np.copyto(tmp, dist)
+        tmp.partition(k - 1, axis=1)
+        kth = tmp[:, [k - 1]]
+        del tmp
         keep = dist <= kth
         keep[rows, queries] = False  # an overflowed +inf cutoff ties the query
-        # every entry at or below the k-th distance, ties included; nonzero
-        # lists columns ascending and the stable sort keeps that order among
-        # equal distances
-        r, c = np.nonzero(keep)
-        d = dist[r, c]
-        order = np.lexsort((d, r))
-        counts = np.bincount(r, minlength=n)
-        take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-        return c[take], d[take]
+        # where more entries tie at the cutoff than slots remain, keep the
+        # lowest-index ones; the rest of a kept row lies below its cutoff
+        counts = np.count_nonzero(keep, axis=1)
+        over = np.flatnonzero(counts > k)
+        tied = keep[over] & (dist[over] == kth[over])
+        slots = k - counts[over] + np.count_nonzero(tied, axis=1)
+        keep[over] ^= tied & (np.cumsum(tied, axis=1) > slots[:, None])
+        # exactly k entries per row, listed in ascending column order; the
+        # stable sort keeps that order among equal distances. Dropping each
+        # buffer once spent keeps the peak near the two distance buffers.
+        flat = np.flatnonzero(keep).reshape(n, k)
+        del keep
+        d = dist.ravel()[flat]
+        del dist
+        flat -= rows[:, None] * m
+        order = np.argsort(d, axis=1, kind="stable")
+        idx = np.take_along_axis(flat, order, 1)
+        del flat
+        return idx, np.take_along_axis(d, order, 1)
 
     def nearest_others(self, query: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k nearest points other than ``query``, ties to lower index.
@@ -94,8 +114,9 @@ class NeighborIndex:
     def nearest_others_all(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized nearest_others for every point; returns (M x k', M x k').
 
-        k' = min(k, M-1). One dense M x M distance matrix and one stable
-        sort give every row exactly, duplicates and tied cutoffs included.
+        k' = min(k, M-1). One dense M x M distance matrix, a per-row cutoff
+        and a stable per-row sort give every row exactly, duplicates and
+        tied cutoffs included.
         """
         if k < 1:
             raise ValueError("k must be >= 1")

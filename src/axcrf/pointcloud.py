@@ -115,6 +115,9 @@ def load_pointcloud(path, column_map: dict, C: int, skip_header: bool = False) -
     feat_cols = list(column_map.get("features", []))
     label_col = column_map.get("label")
     xyz_cols = [column_map["x"], column_map["y"], column_map["z"]]
+    # Python indexing would silently read a negative index from the end
+    if any(c < 0 for c in xyz_cols + feat_cols + [label_col or 0]):
+        raise ValueError(f"negative column index in column_map {column_map}")
 
     positions, features, labels = [], [], []
     with open(path, "r", encoding="utf-8") as fh:

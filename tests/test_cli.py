@@ -125,6 +125,38 @@ def test_slice_writes_manifests(workdir, tmp_path):
         assert rec["side"] == 60.0
 
 
+@pytest.mark.parametrize("threads", [["--threads", "0"], ["--threads", "-3"],
+                                     ["--threads=0"]])
+def test_slice_rejects_thread_count_below_one(workdir, tmp_path, threads, capsys):
+    code = dispatch(["slice", "--input", str(workdir / "cloud.txt"),
+                     "--out", str(tmp_path / "b"), "--block", "60"] + threads)
+    assert code == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("columns", ["x=-1,y=1,z=2", "x=0,y=1,z=2,features=-2:0",
+                                     "x=0,y=1,z=2,features=3+-1"])
+def test_slice_rejects_negative_column_flag(workdir, tmp_path, columns, capsys):
+    code = dispatch(["slice", "--input", str(workdir / "cloud.txt"),
+                     "--out", str(tmp_path / "b"), "--block", "60",
+                     "--columns", columns])
+    assert code == 1
+    assert "negative column index" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+def test_slice_rejects_negative_column_map_in_config(workdir, tmp_path, capsys):
+    cfg = tmp_path / "cols.json"
+    cfg.write_text(json.dumps({"column_map": {"x": -1, "y": 1, "z": 2}}))
+    code = dispatch(["slice", "--input", str(workdir / "cloud.txt"),
+                     "--out", str(tmp_path / "b"), "--block", "60",
+                     "--config", str(cfg)])
+    assert code == 2
+    assert "negative column index" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
 def test_slice_missing_input_is_data_error(tmp_path):
     assert dispatch(["slice", "--input", str(tmp_path / "absent.txt"),
                      "--out", str(tmp_path / "b")]) == 2

@@ -64,14 +64,23 @@ def test_single_point_has_empty_neighbor_rows():
 
 
 def test_overflowing_distances_never_return_query_itself():
-    # finite coordinates whose squared distances overflow to +inf
+    # finite coordinates whose squared distances overflow to +inf; at every
+    # rank past a row's finite distances the cutoff itself is +inf
     pos = np.array([[0.0, 0, 0], [1e200, 0, 0], [-1e200, 0, 0], [3e200, 0, 0]])
+    m = pos.shape[0]
+    index = build_index(pos)
     with np.errstate(over="ignore"):
-        got_i, got_d = build_index(pos).nearest_others_all(2)
-        for q in range(4):
-            exp_i, exp_d = brute_sorted_others(pos, q)
-            np.testing.assert_array_equal(got_i[q], exp_i[:2])
-            np.testing.assert_array_equal(got_d[q], exp_d[:2])
+        for k in list(range(1, m)) + [m + 5]:
+            got_i, got_d = index.nearest_others_all(k)
+            take = min(k, m - 1)
+            assert got_i.shape == (m, take)
+            for q in range(m):
+                exp_i, exp_d = brute_sorted_others(pos, q)
+                np.testing.assert_array_equal(got_i[q], exp_i[:take])
+                np.testing.assert_array_equal(got_d[q], exp_d[:take])
+                one_i, one_d = index.nearest_others(q, k)
+                np.testing.assert_array_equal(one_i, exp_i[:take])
+                np.testing.assert_array_equal(one_d, exp_d[:take])
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,6 +110,29 @@ def test_nearest_others_all_duplicate_regime_bit_equal(cloud):
             assert got_i.shape == got_d.shape == (m, rank)
             np.testing.assert_array_equal(got_i[q], exp_i[:rank])
             np.testing.assert_array_equal(got_d[q], exp_d[:rank])
+
+
+@pytest.mark.parametrize("rank", [24, 192])
+def test_nearest_others_all_distinct_block_bit_equal(rank):
+    # the unique-blocks shape: 512 distinct samples of one 16 m block
+    pos = np.random.default_rng(13).uniform(0, 16, size=(512, 3))
+    got_i, got_d = build_index(pos).nearest_others_all(rank)
+    assert got_i.shape == got_d.shape == (512, rank)
+    for q in range(512):
+        exp_i, exp_d = brute_sorted_others(pos, q)
+        np.testing.assert_array_equal(got_i[q], exp_i[:rank])
+        np.testing.assert_array_equal(got_d[q], exp_d[:rank])
+
+
+@pytest.mark.parametrize("cloud", list(DUPLICATE_CLOUDS.values()), ids=list(DUPLICATE_CLOUDS))
+def test_single_query_is_row_of_all_query_at_crf_rank(cloud):
+    pos = cloud(np.random.default_rng(14))
+    index = build_index(pos)
+    all_i, all_d = index.nearest_others_all(192)
+    for q in range(pos.shape[0]):
+        one_i, one_d = index.nearest_others(q, 192)
+        np.testing.assert_array_equal(one_i, all_i[q])
+        np.testing.assert_array_equal(one_d, all_d[q])
 
 
 @pytest.mark.parametrize("cloud", list(DUPLICATE_CLOUDS.values()), ids=list(DUPLICATE_CLOUDS))

@@ -55,6 +55,14 @@ def test_load_rejects_label_out_of_range(tmp_path):
         load_pointcloud(path, CMAP, 2)
 
 
+@pytest.mark.parametrize("role,index", [("x", -1), ("features", [3, -2]), ("label", -1)])
+def test_load_rejects_negative_column_index(tmp_path, role, index):
+    path = tmp_path / "cloud.txt"
+    path.write_text("1 2 3 0.5 0.5 1\n")
+    with pytest.raises(ValueError, match="negative column index"):
+        load_pointcloud(path, {**CMAP, role: index}, 2)
+
+
 def test_load_without_label_column(tmp_path):
     path = tmp_path / "u.txt"
     path.write_text("1 2 3 0.5 0.5\n4 5 6 0.5 0.5\n")
