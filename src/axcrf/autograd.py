@@ -338,7 +338,7 @@ def _op_gather_rows(vals, attrs):
         raise ValueError("gather-rows: input must have at least one axis")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ValueError(f"gather-rows: index out of range for {a.shape[0]} rows")
-    out = a[idx]
+    out = a.take(idx, axis=0)
 
     def bk(g):
         return (_scatter_rows(a.shape, idx, g),)
@@ -408,7 +408,7 @@ def _op_weighted_gather_sum(vals, attrs):
         raise ValueError(f"weighted-gather-sum: index shape {idx.shape} must match weights {w.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ValueError(f"weighted-gather-sum: index out of range for {x.shape[0]} rows")
-    gathered = x[idx]  # (N, K, C)
+    gathered = x.take(idx, axis=0)  # (N, K, C)
     out = np.einsum("nk,nkc->nc", w, gathered)
 
     def bk(g):

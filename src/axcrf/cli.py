@@ -12,8 +12,8 @@ Subcommands map one-to-one onto library operations:
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure
 (non-finite training loss). ``--threads 1`` pins the math libraries to one
-thread for bit-exact determinism; set it on the command line, it is applied
-before the numeric libraries load.
+thread for bit-exact determinism; it is applied before the numeric libraries
+load, so it is a flag only and a config file may not set it.
 """
 
 import argparse
@@ -92,6 +92,11 @@ def _load_config_file(path):
     for key in data:
         if key not in _KNOWN_KEYS:
             raise CliError(f"config file {path}: unknown key {key!r}", code=1)
+    if "threads" in data:
+        # a thread cap only holds if set before numpy loads, which is before
+        # any config file is read
+        raise CliError(f"config file {path}: 'threads' cannot be set in a config "
+                       "file; pass --threads on the command line", code=1)
     return data
 
 

@@ -175,9 +175,20 @@ def gaussian_filters(positions: np.ndarray, features: np.ndarray, neighborhoods,
 
 def _pair_d2(positions: np.ndarray, features: np.ndarray,
              idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared position and feature distances of each (point, neighbor) pair."""
-    pos_d2 = ((positions[:, None, :] - positions[idx]) ** 2).sum(axis=2)
-    feat_d2 = ((features[:, None, :] - features[idx]) ** 2).sum(axis=2)
+    """Squared position and feature distances of each (point, neighbor) pair.
+
+    Neighbor rows are gathered with ``take``, a contiguous copy of the same
+    elements that numpy's fancy indexing copies about 10x slower for rows
+    this narrow. Positions add their three columns as (dx^2 + dy^2) + dz^2,
+    the order numpy's reduce uses over three columns and cheaper than a
+    reduce over a 3-wide axis. Features keep ``.sum(axis=2)``: their width
+    comes from the input file, and from 8 columns on numpy's reduce sums
+    pairwise, so an explicit column sum would change the last bits.
+    """
+    sq = (positions[:, None, :] - positions.take(idx, axis=0)) ** 2
+    pos_d2 = sq[:, :, 0] + sq[:, :, 1]
+    pos_d2 += sq[:, :, 2]
+    feat_d2 = ((features[:, None, :] - features.take(idx, axis=0)) ** 2).sum(axis=2)
     return pos_d2, feat_d2
 
 

@@ -280,7 +280,7 @@ def unary_graph(tape: Tape, positions: np.ndarray, features: np.ndarray,
     for bi, block in enumerate(params.blocks):
         nbr_idx, _ = atrous_gather_all(index, block.K, block.D,
                                        sorted_idx=sorted_idx, sorted_dist=sorted_dist)
-        offsets = positions[nbr_idx] - positions[:, None, :]
+        offsets = positions.take(nbr_idx, axis=0) - positions[:, None, :]
         feat_t = xconv_graph(tape, offsets, nbr_idx, feat_t, block, bindings, f"unary.block{bi}")
 
     if training and params.dropout_rate > 0.0:

@@ -92,10 +92,13 @@ class NeighborIndex:
         d = dist.ravel()[flat]
         del dist
         flat -= rows[:, None] * m
+        # offset each row's sort order into the flat (n, k) buffers, so one
+        # contiguous take reorders each output
         order = np.argsort(d, axis=1, kind="stable")
-        idx = np.take_along_axis(flat, order, 1)
+        order += rows[:, None] * k
+        idx = flat.take(order)
         del flat
-        return idx, np.take_along_axis(d, order, 1)
+        return idx, d.take(order)
 
     def nearest_others(self, query: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k nearest points other than ``query``, ties to lower index.
@@ -139,11 +142,10 @@ def _strided(sorted_idx: np.ndarray, sorted_dist: np.ndarray, K: int, D: int,
         reps = -(-need // n)
         sorted_idx = np.tile(sorted_idx, reps)[:need]
         sorted_dist = np.tile(sorted_dist, reps)[:need]
-    sel = np.arange(D - 1, need, D)
     return AtrousNeighborhood(
         query=query,
-        indices=sorted_idx[sel].copy(),
-        distances=sorted_dist[sel].copy(),
+        indices=sorted_idx[D - 1:need:D].copy(),
+        distances=sorted_dist[D - 1:need:D].copy(),
         K=K,
         D=D,
     )
@@ -181,5 +183,4 @@ def atrous_gather_all(index: NeighborIndex, K: int, D: int,
         reps = -(-need // avail)
         sorted_idx = np.tile(sorted_idx, (1, reps))[:, :need]
         sorted_dist = np.tile(sorted_dist, (1, reps))[:, :need]
-    sel = np.arange(D - 1, need, D)
-    return sorted_idx[:, sel].copy(), sorted_dist[:, sel].copy()
+    return sorted_idx[:, D - 1:need:D].copy(), sorted_dist[:, D - 1:need:D].copy()

@@ -93,6 +93,20 @@ def test_gather_rows_and_weighted_gather_sum():
     np.testing.assert_allclose(out.values, expect, atol=1e-12)
 
 
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_gathers_bit_equal_to_fancy_indexing(width):
+    # 256 indices drawn with replacement from 100 rows, as in a resampled block
+    rng = RNG(11)
+    a = rng.normal(size=(100, width))
+    tape = Tape()
+    idx = rng.integers(0, 100, size=256)
+    np.testing.assert_array_equal(tape.leaf(a).gather_rows(idx).values, a[idx])
+    nbr = rng.integers(0, 100, size=(256, 12))
+    w = rng.normal(size=(256, 12))
+    out = apply(tape, "weighted-gather-sum", [tape.leaf(a), tape.leaf(w)], indices=nbr)
+    np.testing.assert_array_equal(out.values, np.einsum("nk,nkc->nc", w, a[nbr]))
+
+
 def test_scatter_backward_bit_equal_to_add_at_on_duplicates():
     # 256 x 12 neighbor indices drawn from 100 rows, as in a resampled block
     rng = RNG(10)

@@ -97,6 +97,19 @@ def test_config_invalid_json(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", [0, "many", 2])
+def test_config_threads_is_a_usage_error(workdir, tmp_path, threads, capsys):
+    # a thread cap must be set before numpy loads, so only --threads sets it
+    cfg = tmp_path / "threads.json"
+    cfg.write_text(json.dumps({"threads": threads}))
+    code = dispatch(["slice", "--input", str(workdir / "cloud.txt"),
+                     "--out", str(tmp_path / "b"), "--block", "60",
+                     "--config", str(cfg)])
+    assert code == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
 def test_flags_override_config(tmp_path):
     cfg = tmp_path / "synth.json"
     cfg.write_text(json.dumps({"n": 300, "classes": 2, "noise": 0.0, "seed": 3}))

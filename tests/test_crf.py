@@ -178,6 +178,45 @@ def test_matches_reference_with_internal_neighborhoods():
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
 
+@pytest.mark.parametrize("D", [1, 2, 16])
+@pytest.mark.parametrize("size", ["full", "small"])
+@pytest.mark.parametrize("cloud", list(DUPLICATE_CLOUDS.values()), ids=list(DUPLICATE_CLOUDS))
+def test_matches_reference_in_duplicate_regime(cloud, size, D):
+    # production neighborhoods at the recipe's K=12 on duplicate-heavy clouds;
+    # the 20-point prefixes hold fewer than K*D others, so their lists tile
+    rng = np.random.default_rng(17)
+    pos = cloud(rng)
+    if size == "small":
+        pos = pos[:20]
+    n = pos.shape[0]
+    feat = np.stack([np.sin(pos.sum(axis=1)), np.cos(3.0 * pos[:, 2])], axis=1)
+    U = rng.normal(scale=2.0, size=(n, 4))
+    wb, ws = rng.normal(scale=1.5, size=2)
+    Wc = rng.normal(size=(4, 4)) * (1.0 - np.eye(4))
+    ta, tb, tg = rng.uniform(0.3, 3.0, size=3)
+    params = make_params(wb, ws, Wc, ta, tb, tg, 12, D, 3)
+    index = NeighborIndex(pos)
+    got = xcrf_forward(U, pos, feat, params, index)
+    nbr, _ = atrous_gather_all(index, 12, D)
+    want = ref_xcrf(U, pos, feat, nbr, wb, ws, Wc, ta, tb, tg, 3)
+    np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 9])
+def test_pair_d2_bit_equal_to_broadcast_reduce(width):
+    # positions add their three columns explicitly, features keep the reduce,
+    # which sums pairwise from 8 columns on; both must match the reduce form
+    from axcrf.crf import _pair_d2
+    rng = np.random.default_rng(18)
+    rows = rng.integers(0, 100, size=256)
+    pos = rng.uniform(0, 16, size=(100, 3))[rows]
+    feat = rng.normal(size=(100, width))[rows]
+    idx = rng.integers(0, 256, size=(256, 12))
+    pos_d2, feat_d2 = _pair_d2(pos, feat, idx)
+    np.testing.assert_array_equal(pos_d2, ((pos[:, None] - pos[idx]) ** 2).sum(axis=2))
+    np.testing.assert_array_equal(feat_d2, ((feat[:, None] - feat[idx]) ** 2).sum(axis=2))
+
+
 # -- identities -----------------------------------------------------------------
 
 

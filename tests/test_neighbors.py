@@ -192,6 +192,26 @@ def test_atrous_gather_all_accepts_shared_sorted_lists():
         np.testing.assert_array_equal(shared_d, fresh_d)
 
 
+@pytest.mark.parametrize("m", [256, 40])
+def test_atrous_gather_all_bit_equal_to_index_array_selection(m):
+    # every stride of the default D_list at K=12 on a resampled block; at 40
+    # points the lists of the wider strides are shorter than K*D and tile
+    rng = np.random.default_rng(6)
+    pos = rng.normal(size=(100, 3))[rng.integers(0, 100, size=256)][:m]
+    index = build_index(pos)
+    K = 12
+    for D in (1, 2, 3, 4, 8, 16):
+        need = K * D
+        sorted_i, sorted_d = index.nearest_others_all(need)
+        reps = -(-need // sorted_i.shape[1])
+        sel = np.arange(D - 1, need, D)
+        want_i = np.tile(sorted_i, (1, reps))[:, :need][:, sel]
+        want_d = np.tile(sorted_d, (1, reps))[:, :need][:, sel]
+        got_i, got_d = atrous_gather_all(index, K, D)
+        np.testing.assert_array_equal(got_i, want_i)
+        np.testing.assert_array_equal(got_d, want_d)
+
+
 def test_widest_stride_selects_rank_of_product():
     # the last selected neighbor at K=8, D=4 is exactly the 32nd nearest
     rng = np.random.default_rng(5)

@@ -317,6 +317,27 @@ def test_step2_deterministic(step2_run):
     assert checkpoint_id(again) == checkpoint_id(s.ck2)
 
 
+def test_step2_shared_levels_stay_equal_and_round_trip(step2_run, tmp_path):
+    s = step2_run
+    config = dataclasses.replace(s.config, shared_levels=True, max_epochs=4)
+    ck2 = train_step2(s.ckpt, s.cloud, s.train_blocks, s.art, s.val_blocks,
+                      config=config, thetas=(2.0, 0.25, 2.0))
+    # a trained stack was kept, not the untrained baseline
+    assert ck2.iteration > 0
+    first = ck2.axcrf.levels[0]
+    assert first.bilateral_weight != 1.0
+    path = tmp_path / "shared.ckpt"
+    save_checkpoint(ck2, path)
+    back = load_checkpoint(path)
+    for ax in (ck2.axcrf, back.axcrf):
+        assert ax.shared
+        assert ax.D_list == list(TINY["D_list"])
+        for lv in ax.levels:
+            assert lv.bilateral_weight == first.bilateral_weight
+            assert lv.spatial_weight == first.spatial_weight
+            np.testing.assert_array_equal(lv.compat, first.compat)
+
+
 # -- pipeline forward ----------------------------------------------------------------------------
 
 
