@@ -3,9 +3,12 @@
 Deliberately small: only the operations needed to train the X-Conv point
 classifier and the CRF refinement stack on a CPU. Every forward pass records
 onto a fresh :class:`Tape`; a single :func:`backward` walk then fills the
-``grad`` slot of every tensor on that tape. Tensors are immutable after
-creation (except for grad population), so forward values are reproducible
-bit-for-bit in single-threaded runs.
+``grad`` slot of every leaf on that tape (the parameters and constants made
+by :meth:`Tape.leaf`). The walk consumes the tape: each op record and each
+op output's gradient is released once propagated, so op outputs keep
+``grad`` None and the tape cannot be walked again. Tensors are immutable
+after creation (except for grad population), so forward values are
+reproducible bit-for-bit in single-threaded runs.
 """
 
 from __future__ import annotations
@@ -114,7 +117,8 @@ class Tape:
 
     Construction is single-writer and topologically ordered by definition:
     an operation can only consume tensors that already exist on the tape.
-    Exactly one backward pass is allowed per tape.
+    Exactly one backward pass is allowed per tape, and it consumes the op
+    records.
     """
 
     def __init__(self):
@@ -408,12 +412,13 @@ def _op_weighted_gather_sum(vals, attrs):
         raise ValueError(f"weighted-gather-sum: index shape {idx.shape} must match weights {w.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ValueError(f"weighted-gather-sum: index out of range for {x.shape[0]} rows")
-    gathered = x.take(idx, axis=0)  # (N, K, C)
-    out = np.einsum("nk,nkc->nc", w, gathered)
+    out = np.einsum("nk,nkc->nc", w, x.take(idx, axis=0))
 
     def bk(g):
+        # re-gathered rather than captured: the (N, K, C) copy is the
+        # largest array an op would otherwise hold for the tape's life
         dx = _scatter_rows(x.shape, idx.ravel(), w[:, :, None] * g[:, None, :])
-        dw = np.einsum("nkc,nc->nk", gathered, g)
+        dw = np.einsum("nkc,nc->nk", x.take(idx, axis=0), g)
         return dx, dw
 
     return out, bk
@@ -455,10 +460,14 @@ def apply(tape: Tape, kind: str, inputs: list[Tensor], **attrs) -> Tensor:
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
-    """Reverse pass from a scalar loss; fills ``grad`` on every tape tensor.
+    """Reverse pass from a scalar loss; fills ``grad`` on every leaf.
 
-    Returns the full gradient map {node_id: grad array}; tensors not
-    reachable from the loss get zero gradients.
+    Returns the leaf gradients {node_id: grad array}; leaves not reachable
+    from the loss get zero gradients. The walk consumes the tape: each op
+    record is dropped once its backward has run and each op output's
+    gradient once it has been propagated, so op outputs keep ``grad`` None.
+    Every consumer of a tensor is recorded after its producer, so in reverse
+    recording order a gradient is complete when its producer is reached.
     """
     if loss.tape is not tape:
         raise ValueError("loss was not produced on this record")
@@ -468,9 +477,12 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
         raise RuntimeError("backward already ran once on this record")
     tape._backward_done = True
 
+    ops = tape._ops
+    produced = {out.node_id for out, _, _ in ops}
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.values)}
-    for out, inputs, bk in reversed(tape._ops):
-        g = grads.get(out.node_id)
+    while ops:
+        out, inputs, bk = ops.pop()
+        g = grads.pop(out.node_id, None)
         if g is None:
             continue
         for t, ig in zip(inputs, bk(g)):
@@ -481,6 +493,8 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
 
     result: dict[int, np.ndarray] = {}
     for t in tape.tensors:
+        if t.node_id in produced:
+            continue
         g = grads.get(t.node_id)
         if g is None:
             g = np.zeros_like(t.values)

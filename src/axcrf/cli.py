@@ -586,6 +586,7 @@ _COMMANDS = {"slice": _cmd_slice, "train": _cmd_train, "labels": _cmd_labels,
 
 def dispatch(argv) -> int:
     """Run one subcommand; returns the process exit code."""
+    _keep_freed_arrays()
     _apply_threads(argv)
     parser = build_parser()
     try:
@@ -628,8 +629,9 @@ def _keep_freed_arrays():
     trim), so each pass faults in fresh zeroed pages: about 120k faults and a third of the wall
     time of ``labels`` on 512-point samples, a kernel cost that swings with
     the machine's memory load. Arrays up to 32 MB now come from the heap and
-    up to 128 MB of freed heap is kept. Process-wide, so only the entry
-    point sets it; a no-op off glibc.
+    up to 128 MB of freed heap is kept. Process-wide and idempotent:
+    ``dispatch`` sets it, so in-process callers run under the same settings
+    as the command line; a no-op off glibc.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -643,7 +645,6 @@ def _keep_freed_arrays():
 
 
 def main() -> None:
-    _keep_freed_arrays()
     sys.exit(dispatch(sys.argv[1:]))
 
 

@@ -27,7 +27,7 @@ __all__ = [
     "MlpParams", "XConvParams", "UnaryModelParams",
     "init_mlp", "init_xconv", "init_unary_model",
     "mlp_graph", "xconv_graph", "unary_graph",
-    "xconv_forward", "unary_forward", "cross_entropy_graph", "cross_entropy",
+    "unary_forward", "cross_entropy_graph", "cross_entropy",
     "named_param_arrays",
 ]
 
@@ -290,36 +290,6 @@ def unary_graph(tape: Tape, positions: np.ndarray, features: np.ndarray,
                        rate=params.dropout_rate, rng=dropout_rng)
     logits = mlp_graph(tape, feat_t, params.head, bindings, "unary.head")
     return logits, bindings
-
-
-def xconv_forward(p: np.ndarray, P: np.ndarray, F: np.ndarray,
-                  params: XConvParams) -> np.ndarray:
-    """Single-point block application: K neighbor positions and features
-    in, C_out features for the representative point out."""
-    p = np.asarray(p, dtype=np.float64).reshape(3)
-    P = np.asarray(P, dtype=np.float64)
-    F = np.asarray(F, dtype=np.float64)
-    if P.shape != (params.K, 3):
-        raise ValueError(f"expected {params.K} neighbor positions, got {P.shape}")
-    if F.shape != (params.K, params.C_in):
-        raise ValueError(f"expected {params.K} x {params.C_in} neighbor features, got {F.shape}")
-    tape = Tape()
-    bindings: dict[str, Tensor] = {}
-    offsets = (P - p)[None, :, :] / params.offset_scale
-    # neighbor features arrive explicitly here, so no gather is involved
-    feat_rows = tape.leaf(F)
-    cd, ci = params.C_delta, params.C_in
-    flat_off = tape.leaf(offsets.reshape(params.K, 3))
-    f_delta = mlp_graph(tape, flat_off, params.lift, bindings, "xconv.lift").reshape((1, params.K, cd))
-    f_star = apply(tape, "concatenate",
-                   [f_delta, feat_rows.reshape((1, params.K, ci))], axis=2)
-    xin = tape.leaf(offsets.reshape(1, 3 * params.K))
-    x_mat = mlp_graph(tape, xin, params.xform, bindings, "xconv.xform").reshape((1, params.K, params.K))
-    f_x = x_mat.bmm(f_star)
-    kernel = tape.leaf(params.conv_kernel)
-    bias = tape.leaf(params.conv_bias)
-    out = (f_x.reshape((1, params.K * (cd + ci))).matmul(kernel) + bias).relu()
-    return out.values.reshape(-1).copy()
 
 
 def unary_forward(positions: np.ndarray, features: np.ndarray,

@@ -4,9 +4,11 @@ Everything here re-derives results with explicit loops and scalar formulas,
 sharing no code with the package beyond numpy itself. The production code
 is vectorized (dense distance-matrix selection, batched gathers, einsum
 aggregation); agreement between the two routes is what the tests certify.
-The one exception is ``triple_outer_grid``, which replays the bandwidth
-search from the package's public per-call forward, one fresh neighbor sort
-per (triple, block).
+Three exceptions drive package code by an older, plainer route:
+``triple_outer_grid`` replays the bandwidth search from the package's public
+per-call forward, one fresh neighbor sort per (triple, block);
+``xconv_forward`` applies one X-Conv block to one point on a tape of its
+own; ``full_map_backward`` walks a tape keeping every gradient to the end.
 """
 
 import math
@@ -145,3 +147,59 @@ def triple_outer_grid(blocks, C, D_list, K, r, alpha_candidates, beta_candidates
                 if best is None or oa > best[1]:
                     best = ((ta, tb, tg), oa)
     return best
+
+
+# -- single-point X-Conv block -----------------------------------------------------
+
+
+def xconv_forward(p, P, F, params):
+    """Single-point block application: K neighbor positions and features
+    in, C_out features for the representative point out."""
+    from axcrf.autograd import Tape, apply
+    from axcrf.model import mlp_graph
+
+    p = np.asarray(p, dtype=np.float64).reshape(3)
+    P = np.asarray(P, dtype=np.float64)
+    F = np.asarray(F, dtype=np.float64)
+    if P.shape != (params.K, 3):
+        raise ValueError(f"expected {params.K} neighbor positions, got {P.shape}")
+    if F.shape != (params.K, params.C_in):
+        raise ValueError(f"expected {params.K} x {params.C_in} neighbor features, got {F.shape}")
+    tape = Tape()
+    bindings = {}
+    offsets = (P - p)[None, :, :] / params.offset_scale
+    # neighbor features arrive explicitly here, so no gather is involved
+    feat_rows = tape.leaf(F)
+    cd, ci = params.C_delta, params.C_in
+    flat_off = tape.leaf(offsets.reshape(params.K, 3))
+    f_delta = mlp_graph(tape, flat_off, params.lift, bindings, "xconv.lift").reshape((1, params.K, cd))
+    f_star = apply(tape, "concatenate",
+                   [f_delta, feat_rows.reshape((1, params.K, ci))], axis=2)
+    xin = tape.leaf(offsets.reshape(1, 3 * params.K))
+    x_mat = mlp_graph(tape, xin, params.xform, bindings, "xconv.xform").reshape((1, params.K, params.K))
+    f_x = x_mat.bmm(f_star)
+    kernel = tape.leaf(params.conv_kernel)
+    bias = tape.leaf(params.conv_bias)
+    out = (f_x.reshape((1, params.K * (cd + ci))).matmul(kernel) + bias).relu()
+    return out.values.reshape(-1).copy()
+
+
+# -- reverse pass ------------------------------------------------------------------
+
+
+def full_map_backward(tape, loss):
+    """Reverse pass that keeps the gradient of every tape tensor to the end
+    and leaves the op records in place: {node_id: grad}, zeros where the loss
+    does not reach. Walk and accumulation order match ``autograd.backward``."""
+    grads = {loss.node_id: np.ones_like(loss.values)}
+    for out, inputs, bk in reversed(tape._ops):
+        g = grads.get(out.node_id)
+        if g is None:
+            continue
+        for t, ig in zip(inputs, bk(g)):
+            if ig is None:
+                continue
+            acc = grads.get(t.node_id)
+            grads[t.node_id] = ig if acc is None else acc + ig
+    return {t.node_id: grads.get(t.node_id, np.zeros_like(t.values))
+            for t in tape.tensors}

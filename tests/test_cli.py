@@ -423,7 +423,7 @@ def test_entry_point_reuses_freed_arrays(monkeypatch, capsys):
     # a block pass holds a few MB-sized arrays at once and frees them; after
     # the entry point's malloc tuning, repeating the pass faults in no fresh
     # pages (untuned glibc trims the freed heap and faults all 30k again).
-    # Run in a child so that this process keeps its own allocator settings.
+    # Run in a child, whose allocator starts from glibc's defaults.
     import os
     import subprocess
     from pathlib import Path
@@ -449,7 +449,8 @@ def test_entry_point_reuses_freed_arrays(monkeypatch, capsys):
                           capture_output=True, text=True, env=env, check=True)
     assert int(proc.stdout) < 100
 
-    # main, the process entry point, is what applies it
+    # dispatch applies it, so main and in-process callers of dispatch run
+    # tuned, once per command
     import axcrf.cli as cli
     calls = []
     monkeypatch.setattr(cli, "_keep_freed_arrays", lambda: calls.append(1))

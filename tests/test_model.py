@@ -9,9 +9,9 @@ from axcrf.autograd import Tape, backward
 from axcrf.model import (MlpParams, UnaryModelParams, XConvParams,
                          cross_entropy, cross_entropy_graph, init_mlp,
                          init_unary_model, init_xconv, named_param_arrays,
-                         unary_forward, unary_graph, xconv_forward)
+                         unary_forward, unary_graph)
 from axcrf.neighbors import build_index, atrous_gather_all
-from refimpl import DUPLICATE_CLOUDS
+from refimpl import DUPLICATE_CLOUDS, xconv_forward
 
 
 def np_mlp(x, p):
