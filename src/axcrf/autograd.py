@@ -9,6 +9,11 @@ op output's gradient is released once propagated, so op outputs keep
 ``grad`` None and the tape cannot be walked again. Tensors are immutable
 after creation (except for grad population), so forward values are
 reproducible bit-for-bit in single-threaded runs.
+
+A dense layer is one ``affine`` record: ``x @ w + b``, optionally followed
+by an in-place relu. It fuses the ``matrix-multiply`` -> ``add`` -> ``relu``
+chain into one output array and one backward step, with the same numpy calls
+in the same order, so its values and gradients equal the chain's bit for bit.
 """
 
 from __future__ import annotations
@@ -203,6 +208,31 @@ def _op_matmul(vals, attrs):
 
     def bk(g):
         return g @ b.T, a.T @ g
+
+    return out, bk
+
+
+def _op_affine(vals, attrs):
+    # the matrix-multiply -> add [-> relu] chain's numpy calls in its order,
+    # writing one (n, d) array where the chain wrote three
+    x, w, b = vals
+    if x.ndim != 2 or w.ndim != 2:
+        raise ValueError(f"affine: expected 2-D operands, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise ValueError(f"affine: inner dimensions differ, {x.shape} and {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ValueError(f"affine: bias shape {b.shape} does not match weight width {w.shape[1]}")
+    relu = bool(attrs.get("relu", False))
+    out = x @ w
+    out += b
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+    def bk(g):
+        if relu:
+            # out > 0 exactly where the pre-activation is > 0, nan included
+            g = g * (out > 0.0)
+        return g @ w.T, x.T @ g, _unbroadcast(g, b.shape)
 
     return out, bk
 
@@ -426,6 +456,7 @@ def _op_weighted_gather_sum(vals, attrs):
 
 _OPS = {
     "add": _op_add,
+    "affine": _op_affine,
     "subtract": _op_subtract,
     "elementwise-multiply": _op_multiply,
     "matrix-multiply": _op_matmul,

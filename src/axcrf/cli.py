@@ -160,13 +160,38 @@ def _default_columns(path, labeled):
     return cmap
 
 
+def _check_column_map(cmap):
+    """A config-file column_map by the roles --columns takes: x, y, z and
+    label as integer column indices, features as a list of them. A negative
+    index is left to the point-file loader, which rejects it as a data error."""
+    if not isinstance(cmap, dict):
+        raise CliError(f"column_map must be a JSON object of column roles, "
+                       f"got {cmap!r}", code=1)
+
+    def is_index(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    for key, value in cmap.items():
+        if key == "features":
+            if not (isinstance(value, list) and all(is_index(v) for v in value)):
+                raise CliError(f"column_map: 'features' must be a list of integer "
+                               f"column indices, got {value!r}", code=1)
+        elif key in ("x", "y", "z", "label"):
+            if not is_index(value):
+                raise CliError(f"column_map: {key!r} must be an integer column "
+                               f"index, got {value!r}", code=1)
+        else:
+            raise CliError(f"column_map: unknown column role {key!r}", code=1)
+    return dict(cmap)
+
+
 def _resolve_columns(args, file_config, labeled, path):
     if getattr(args, "columns", None):
         return _parse_columns(args.columns)
     if "columns" in file_config:
         return _parse_columns(file_config["columns"])
     if "column_map" in file_config:
-        return dict(file_config["column_map"])
+        return _check_column_map(file_config["column_map"])
     return _default_columns(path, labeled)
 
 
@@ -238,7 +263,15 @@ def _slicing(args, file_config, min_points=64):
     """(side, shift, min_points) of the slicing grid."""
     side = float(_merged(args, file_config, "block", 25.0))
     shift = float(_merged(args, file_config, "shift", side / 2.0))
-    return side, shift, int(_merged(args, file_config, "min_points", min_points))
+    min_points = int(_merged(args, file_config, "min_points", min_points))
+    # the chained comparisons are false for nan as well
+    if not 0.0 < side < float("inf"):
+        raise CliError(f"block side must be positive and finite, got {side}", code=1)
+    if not 0.0 < shift <= side:
+        raise CliError(f"shift must be in (0, block side], got {shift}", code=1)
+    if min_points < 1:
+        raise CliError(f"min_points must be >= 1, got {min_points}", code=1)
+    return side, shift, min_points
 
 
 def _split_labeled(args, file_config, C, missing_label):
@@ -254,6 +287,9 @@ def _split_labeled(args, file_config, C, missing_label):
     if not 0 < val_fraction < 1:
         raise CliError(f"val_fraction must be in (0, 1), got {val_fraction}", code=1)
     tile = float(_merged(args, file_config, "tile", 10.0))
+    # the chained comparison is false for nan as well
+    if not 0.0 < tile < float("inf"):
+        raise CliError(f"tile must be a positive finite number, got {tile}", code=1)
     side, shift, min_points = _slicing(args, file_config)
     split = split_and_slice(cloud, tile_side=tile,
                             fractions=(1.0 - val_fraction, val_fraction),
@@ -272,10 +308,7 @@ def _cmd_slice(args, file_config):
     from .pointcloud import slice_blocks
     cloud = _load_unlabeled(args.input, args, file_config)
     side, shift, min_points = _slicing(args, file_config)
-    try:
-        blocks = slice_blocks(cloud, side=side, shift=shift, min_points=min_points)
-    except ValueError as exc:
-        raise CliError(str(exc), code=1) from exc
+    blocks = slice_blocks(cloud, side=side, shift=shift, min_points=min_points)
     out = args.out
     os.makedirs(out, exist_ok=True)
     manifest_path = os.path.join(out, "blocks.jsonl")
@@ -398,7 +431,7 @@ def _cmd_refine(args, file_config):
 def _cmd_predict(args, file_config):
     import numpy as np
     from .pointcloud import slice_blocks, write_labels
-    from .training import coverage_vote_predict, pipeline_forward
+    from .training import _SALT_PREDICT, coverage_vote_predict, pipeline_forward
     ckpt = _load_ckpt(args.model)
     cloud = _load_unlabeled(args.input, args, file_config, ckpt)
     # every input line must receive a label, so empty blocks are kept
@@ -409,7 +442,7 @@ def _cmd_predict(args, file_config):
     pi, labels, passes = coverage_vote_predict(
         cloud, blocks,
         lambda p, f: pipeline_forward(ckpt.model, ckpt.axcrf, p, f),
-        ckpt.config.n_sample, ckpt.config.seed, salt=707)
+        ckpt.config.n_sample, ckpt.config.seed, salt=_SALT_PREDICT)
     dense = np.full(cloud.n_points, -1, dtype=np.int64)
     dense[pi] = labels
     if np.any(dense < 0):

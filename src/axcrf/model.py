@@ -209,8 +209,8 @@ def mlp_graph(tape: Tape, x: Tensor, params: MlpParams,
     b1 = _bind(tape, bindings, f"{prefix}.b1", params.b1)
     w2 = _bind(tape, bindings, f"{prefix}.w2", params.w2)
     b2 = _bind(tape, bindings, f"{prefix}.b2", params.b2)
-    h = (x.matmul(w1) + b1).relu()
-    return h.matmul(w2) + b2
+    h = apply(tape, "affine", [x, w1, b1], relu=True)
+    return apply(tape, "affine", [h, w2, b2])
 
 
 def xconv_graph(tape: Tape, offsets: np.ndarray, nbr_idx: np.ndarray,
@@ -245,7 +245,7 @@ def xconv_graph(tape: Tape, offsets: np.ndarray, nbr_idx: np.ndarray,
     kernel = _bind(tape, bindings, f"{prefix}.conv_kernel", params.conv_kernel)
     bias = _bind(tape, bindings, f"{prefix}.conv_bias", params.conv_bias)
     flat = f_x.reshape((n, K * (cd + ci)))
-    return (flat.matmul(kernel) + bias).relu()
+    return apply(tape, "affine", [flat, kernel, bias], relu=True)
 
 
 def unary_graph(tape: Tape, positions: np.ndarray, features: np.ndarray,

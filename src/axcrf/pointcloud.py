@@ -272,6 +272,9 @@ def split_by_tiles(cloud: PointCloud, tile_side: float = 100.0,
     """
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {fractions}")
+    # the chained comparison is false for nan as well
+    if not 0.0 < tile_side < np.inf:
+        raise ValueError(f"tile side must be a positive finite number, got {tile_side}")
     if cloud.n_points == 0:
         raise ValueError("cannot split an empty cloud")
     x, y = cloud.positions[:, 0], cloud.positions[:, 1]

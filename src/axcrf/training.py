@@ -61,6 +61,7 @@ _SALT_LABELS = 303
 _SALT_ORDER = 404
 _SALT_DROPOUT = 505
 _SALT_GRID = 606
+_SALT_PREDICT = 707
 
 
 @dataclass
@@ -115,6 +116,19 @@ class TrainConfig:
             raise ValueError("block_channels and block_strides lengths differ")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
+        for name in ("K", "C_delta", "hidden", "crf_K"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.r < 0:
+            raise ValueError(f"r must be >= 0, got {self.r}")
+        for name in ("D_list", "block_channels", "block_strides"):
+            if not all(v >= 1 for v in getattr(self, name)):
+                raise ValueError(f"every entry of {name} must be >= 1, "
+                                 f"got {getattr(self, name)}")
+        # the chained comparison is false for nan as well
+        if not 0.0 < self.offset_scale < math.inf:
+            raise ValueError(f"offset_scale must be positive and finite, "
+                             f"got {self.offset_scale}")
         for name in ("theta_alpha_candidates", "theta_beta_candidates",
                      "theta_gamma_candidates"):
             values = getattr(self, name)
@@ -223,17 +237,14 @@ def pipeline_forward(model: UnaryModelParams, axcrf: AXcrfParams | None,
                          sorted_dist=sd)
 
 
-def coverage_vote_predict(cloud: PointCloud, blocks, forward_fn, n_sample: int,
-                          global_seed: int, salt: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Eval passes over repeated block samplings until every block member is
-    predicted at least once; one vote per (pass, point), majority wins,
-    ties to the lowest class. Returns (point indices, labels, passes)."""
-    votes = np.zeros((cloud.n_points, cloud.C), dtype=np.int64)
-    member_mask = np.zeros(cloud.n_points, dtype=bool)
-    passes = 0
+def _coverage_passes(cloud: PointCloud, blocks, n_sample: int, global_seed: int,
+                     salt: int) -> list[np.ndarray]:
+    """Sample indices of every eval pass, in order: repeated seeded samplings
+    of each block until every member is in at least one. Which passes run
+    depends only on what earlier samples covered, never on predictions."""
     covered = np.zeros(cloud.n_points, dtype=bool)
+    passes = []
     for block in blocks:
-        member_mask[block.member_indices] = True
         block_pass = 0
         # coverage by independent without-replacement passes has a
         # coupon-collector tail around (members/n) * ln(members); the cap
@@ -245,18 +256,43 @@ def coverage_vote_predict(cloud: PointCloud, blocks, forward_fn, n_sample: int,
                 raise RuntimeError(f"coverage loop exceeded {cap} passes on block "
                                    f"at origin {block.origin}")
             seed = block_seed(global_seed, block, salt=salt * 1_000_003 + block_pass)
-            s = sample_block(block, n_sample, seed)
-            U = forward_fn(cloud.positions[s.sample_indices],
-                           cloud.features[s.sample_indices])
-            pred = predict(U)
-            uniq, first = np.unique(s.sample_indices, return_index=True)
-            votes[uniq, pred[first]] += 1
-            covered[uniq] = True
+            idx = sample_block(block, n_sample, seed).sample_indices
+            covered[idx] = True
+            passes.append(idx)
             block_pass += 1
-            passes += 1
-    point_indices = np.flatnonzero(member_mask)
-    labels = votes[point_indices].argmax(axis=1)
-    return point_indices, labels, passes
+    return passes
+
+
+def _vote(cloud: PointCloud, passes, logits) -> tuple[np.ndarray, np.ndarray]:
+    """One vote per (pass, point) from each pass's logits, in pass order;
+    majority wins, ties to the lowest class. Returns (point indices, labels)
+    over the covered points, which are exactly the blocks' members."""
+    votes = np.zeros((cloud.n_points, cloud.C), dtype=np.int64)
+    covered = np.zeros(cloud.n_points, dtype=bool)
+    for idx, U in zip(passes, logits, strict=True):
+        pred = predict(U)
+        uniq, first = np.unique(idx, return_index=True)
+        votes[uniq, pred[first]] += 1
+        covered[uniq] = True
+    point_indices = np.flatnonzero(covered)
+    return point_indices, votes[point_indices].argmax(axis=1)
+
+
+def coverage_vote_predict(cloud: PointCloud, blocks, forward_fn, n_sample: int,
+                          global_seed: int, salt: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Eval passes over repeated block samplings until every block member is
+    predicted at least once; one vote per (pass, point), majority wins,
+    ties to the lowest class. Returns (point indices, labels, passes)."""
+    passes = _coverage_passes(cloud, blocks, n_sample, global_seed, salt)
+    logits = (forward_fn(cloud.positions[idx], cloud.features[idx]) for idx in passes)
+    point_indices, labels = _vote(cloud, passes, logits)
+    return point_indices, labels, len(passes)
+
+
+def _accuracy(cloud: PointCloud, point_indices: np.ndarray, labels: np.ndarray) -> float:
+    if point_indices.size == 0:
+        raise ValueError("no points covered by the given blocks")
+    return float((labels == cloud.labels[point_indices]).mean())
 
 
 def evaluate_oa(cloud: PointCloud, blocks, forward_fn, n_sample: int,
@@ -266,9 +302,7 @@ def evaluate_oa(cloud: PointCloud, blocks, forward_fn, n_sample: int,
         raise ValueError("evaluation needs labeled points")
     pi, lab, _ = coverage_vote_predict(cloud, blocks, forward_fn, n_sample,
                                        global_seed, salt)
-    if pi.size == 0:
-        raise ValueError("no points covered by the given blocks")
-    return float((lab == cloud.labels[pi]).mean())
+    return _accuracy(cloud, pi, lab)
 
 
 def _block_grads(model, axcrf, cloud, block, labels_dense, config,
@@ -457,6 +491,11 @@ def train_step1(cloud: PointCloud, train_blocks, val_blocks, config: TrainConfig
                              block_strides=config.block_strides, C_delta=config.C_delta,
                              hidden=config.hidden, dropout_rate=config.dropout_rate,
                              offset_scale=config.offset_scale)
+    # the validation passes do not depend on the epoch and the neighbor rank
+    # is fixed for the run, so each pass is sampled and sorted once
+    val_passes = _coverage_passes(cloud, val_blocks, config.n_sample, config.seed,
+                                  _SALT_VAL)
+    val_sorts = [_shared_sort(model, None, cloud.positions[idx]) for idx in val_passes]
     stopper = EarlyStopper(config.patience)
     best_oa = -math.inf
     best_model = model.copy()
@@ -469,9 +508,10 @@ def train_step1(cloud: PointCloud, train_blocks, val_blocks, config: TrainConfig
             t, mean_loss = _run_epoch(model, None, cloud, train_blocks, cloud.labels,
                                       config, epoch, t, update_xcrf=False,
                                       salt=_SALT_TRAIN, velocity=velocity)
-            val_oa = evaluate_oa(cloud, val_blocks,
-                                 lambda p, f: unary_forward(p, f, model),
-                                 config.n_sample, config.seed)
+            logits = (unary_forward(cloud.positions[idx], cloud.features[idx], model,
+                                    index=index, sorted_idx=si, sorted_dist=sd)
+                      for idx, (index, si, sd) in zip(val_passes, val_sorts))
+            val_oa = _accuracy(cloud, *_vote(cloud, val_passes, logits))
             _log(fh, step=1, epoch=epoch, kind="labeled", mean_loss=mean_loss,
                  val_oa=val_oa, lr=learning_rate(config, t))
             if val_oa > best_oa:

@@ -4,11 +4,12 @@ Everything here re-derives results with explicit loops and scalar formulas,
 sharing no code with the package beyond numpy itself. The production code
 is vectorized (dense distance-matrix selection, batched gathers, einsum
 aggregation); agreement between the two routes is what the tests certify.
-Three exceptions drive package code by an older, plainer route:
+Four exceptions drive package code by an older, plainer route:
 ``triple_outer_grid`` replays the bandwidth search from the package's public
 per-call forward, one fresh neighbor sort per (triple, block);
 ``xconv_forward`` applies one X-Conv block to one point on a tape of its
-own; ``full_map_backward`` walks a tape keeping every gradient to the end.
+own; ``chain_apply`` records each dense layer as matrix-multiply, add and
+relu; ``full_map_backward`` walks a tape keeping every gradient to the end.
 """
 
 import math
@@ -182,6 +183,21 @@ def xconv_forward(p, P, F, params):
     bias = tape.leaf(params.conv_bias)
     out = (f_x.reshape((1, params.K * (cd + ci))).matmul(kernel) + bias).relu()
     return out.values.reshape(-1).copy()
+
+
+# -- dense layers ------------------------------------------------------------------
+
+
+def chain_apply(tape, kind, inputs, **attrs):
+    """``autograd.apply`` with each ``affine`` record replaced by the
+    matrix-multiply -> add [-> relu] chain it fuses."""
+    from axcrf.autograd import apply
+
+    if kind != "affine":
+        return apply(tape, kind, inputs, **attrs)
+    x, w, b = inputs
+    out = apply(tape, "add", [apply(tape, "matrix-multiply", [x, w]), b])
+    return apply(tape, "relu", [out]) if attrs.get("relu") else out
 
 
 # -- reverse pass ------------------------------------------------------------------

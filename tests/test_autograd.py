@@ -12,7 +12,8 @@ from axcrf.autograd import OP_KINDS, Tape, Tensor, apply, backward, grad_check
 from axcrf.crf import AXcrfParams, axcrf_graph
 from axcrf.model import cross_entropy_graph, init_unary_model, unary_graph
 from axcrf.neighbors import build_index
-from refimpl import DUPLICATE_CLOUDS, full_map_backward
+import axcrf.model
+from refimpl import DUPLICATE_CLOUDS, chain_apply, full_map_backward
 
 RNG = np.random.default_rng
 
@@ -50,6 +51,54 @@ def test_matmul_and_reshape():
     out = tape.leaf(a).matmul(tape.leaf(b))
     np.testing.assert_allclose(out.values, a @ b, rtol=0, atol=0)
     np.testing.assert_array_equal(out.reshape((2, 3)).values, (a @ b).reshape(2, 3))
+
+
+def test_affine_is_matmul_plus_bias_with_optional_relu():
+    rng = RNG(20)
+    x, w, b = rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    tape = Tape()
+    xt, wt, bt = tape.leaf(x), tape.leaf(w), tape.leaf(b)
+    np.testing.assert_array_equal(apply(tape, "affine", [xt, wt, bt]).values, x @ w + b)
+    np.testing.assert_array_equal(apply(tape, "affine", [xt, wt, bt], relu=True).values,
+                                  np.maximum(x @ w + b, 0.0))
+    for bad, msg in (([tape.leaf(x[0]), wt, bt], "expected 2-D"),
+                     ([xt, tape.leaf(w[:3]), bt], "inner dimensions differ"),
+                     ([xt, wt, tape.leaf(b[:2])], "bias shape")):
+        with pytest.raises(ValueError, match=msg):
+            apply(tape, "affine", bad)
+
+
+@pytest.mark.parametrize("cloud", ["distinct", "resampled"])
+def test_affine_layers_bit_equal_to_matmul_add_relu_chain(cloud, monkeypatch):
+    # 512 distinct points, or 256 rows drawn from 100 as in a recipe block
+    rng = RNG(21)
+    if cloud == "distinct":
+        positions = rng.uniform(0.0, 16.0, size=(512, 3))
+    else:
+        positions = DUPLICATE_CLOUDS[cloud](rng)
+    features = rng.normal(size=(len(positions), 2))
+    labels = rng.integers(0, 4, size=len(positions))
+    model = init_unary_model(3, C=4, C_in=2, K=12, block_channels=(24, 24),
+                             block_strides=(1, 2), C_delta=12, hidden=24,
+                             dropout_rate=0.3, offset_scale=4.0)
+
+    def run():
+        tape = Tape()
+        logits, _ = unary_graph(tape, positions, features, model, training=True,
+                                dropout_rng=RNG(22))
+        grads = backward(tape, cross_entropy_graph(tape, logits, labels))
+        # leaves are made in the same order on both tapes
+        return (len(tape.tensors), logits.values.tobytes(),
+                [grads[i].tobytes() for i in sorted(grads)])
+
+    fused_size, fused_logits, fused_grads = run()
+    with monkeypatch.context() as m:
+        m.setattr(axcrf.model, "apply", chain_apply)
+        chain_size, chain_logits, chain_grads = run()
+    assert fused_size < chain_size
+    assert fused_logits == chain_logits
+    assert len(fused_grads) == len(chain_grads) > 20
+    assert fused_grads == chain_grads
 
 
 def test_batched_matmul_matches_einsum():

@@ -170,6 +170,28 @@ def test_slice_rejects_negative_column_map_in_config(workdir, tmp_path, capsys):
     assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("column_map,key", [
+    ([1, 2], "JSON object"),
+    ({"x": 0, "y": 1, "z": 2, "features": 3}, "'features'"),
+    ({"x": 0, "y": 1, "z": 2, "label": "five"}, "'label'"),
+    ({"x": 0, "y": 1, "z": 2, "label": True}, "'label'"),
+    ({"x": 0, "y": 1, "z": 2, "label": 5.5}, "'label'"),
+    ({"x": 0, "y": 1, "z": 2, "intensity": 3}, "'intensity'"),
+])
+def test_malformed_column_map_in_config_is_usage_error(workdir, tmp_path, column_map,
+                                                       key, capsys):
+    cfg = tmp_path / "cols.json"
+    cfg.write_text(json.dumps({"column_map": column_map}))
+    for command in ("slice", "train"):
+        code = dispatch([command, "--input", str(workdir / "cloud.txt"),
+                         "--out", str(tmp_path / "b"), "--block", "60",
+                         "--config", str(cfg)] + (TINY_TRAIN if command == "train" else []))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "column_map" in err and key in err
+        assert not (tmp_path / "b").exists()
+
+
 def test_slice_missing_input_is_data_error(tmp_path):
     assert dispatch(["slice", "--input", str(tmp_path / "absent.txt"),
                      "--out", str(tmp_path / "b")]) == 2
@@ -192,6 +214,49 @@ def test_train_requires_classes(workdir, tmp_path):
                      "--out", str(tmp_path / "x.ckpt"),
                      "--config", str(workdir / "tiny.json")] + args)
     assert code == 1
+
+
+@pytest.mark.parametrize("flag,value,named", [
+    ("--hidden", "0", "hidden"), ("--K", "0", "K"), ("--C-delta", "0", "C_delta"),
+    ("--crf-K", "0", "crf_K"), ("--r", "-1", "r"),
+    ("--offset-scale", "0", "offset_scale"), ("--offset-scale", "inf", "offset_scale"),
+    ("--tile", "0", "tile"), ("--tile", "nan", "tile"),
+    ("--min-points", "-5", "min_points"), ("--min-points", "0", "min_points"),
+    ("--block", "0", "block side"), ("--block", "nan", "block side"),
+    ("--shift", "-1", "shift"), ("--shift", "80", "shift"),
+])
+def test_train_rejects_bad_shape_and_slicing_values(workdir, tmp_path, flag, value,
+                                                    named, capsys):
+    args = list(TINY_TRAIN)
+    if flag in args:
+        args[args.index(flag) + 1] = value
+    else:
+        args += [flag, value]
+    code = dispatch(["train", "--input", str(workdir / "cloud.txt"),
+                     "--out", str(tmp_path / "x.ckpt"),
+                     "--config", str(workdir / "tiny.json")] + args)
+    assert code == 1
+    assert f"{named} must" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_train_log_has_one_record_per_epoch(workdir, tmp_path, capsys):
+    from axcrf.training import load_checkpoint
+    log = tmp_path / "train.jsonl"
+    code = dispatch(["train", "--input", str(workdir / "cloud.txt"),
+                     "--out", str(tmp_path / "x.ckpt"), "--log", str(log),
+                     "--config", str(workdir / "tiny.json")] + TINY_TRAIN)
+    assert code == 0
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert 1 <= len(records) <= 12
+    for epoch, rec in enumerate(records):
+        assert set(rec) == {"step", "epoch", "kind", "mean_loss", "val_oa", "lr"}
+        assert (rec["step"], rec["epoch"], rec["kind"]) == (1, epoch, "labeled")
+        assert np.isfinite(rec["mean_loss"]) and 0.0 <= rec["val_oa"] <= 1.0
+        assert rec["lr"] > 0
+    best = max(rec["val_oa"] for rec in records)
+    assert f"best validation OA {best:.4f} " in capsys.readouterr().out
+    assert load_checkpoint(tmp_path / "x.ckpt").best_val_oa == best
 
 
 def test_train_malformed_point_file_is_data_error(tmp_path):
@@ -231,7 +296,8 @@ def pipeline(workdir, trained):
                      "--artificial-input", str(d / "unlabeled.txt"),
                      "--artificial-labels", str(d / "art.txt"),
                      "--config", str(d / "tiny.json"),
-                     "--thetas", "1.0,0.1,1.0"] + TINY_TRAIN)
+                     "--thetas", "1.0,0.1,1.0",
+                     "--log", str(d / "refine.jsonl")] + TINY_TRAIN)
     assert code == 0
     code = dispatch(["predict", "--input", str(d / "unlabeled.txt"),
                      "--out", str(d / "pred.txt"),
@@ -253,6 +319,25 @@ def test_refine_attaches_stack(pipeline):
     ckpt = load_checkpoint(pipeline / "step2.ckpt")
     assert ckpt.axcrf is not None
     assert ckpt.thetas == (1.0, 0.1, 1.0)
+
+
+def test_refine_log_has_init_then_epoch_pairs(pipeline):
+    from axcrf.training import load_checkpoint
+    records = [json.loads(line)
+               for line in (pipeline / "refine.jsonl").read_text().splitlines()]
+    init, pairs = records[0], records[1:]
+    assert (init["step"], init["epoch"], init["kind"]) == (2, -1, "init")
+    assert init["mean_loss"] is None and 0.0 <= init["val_oa"] <= 1.0
+    assert pairs and len(pairs) % 2 == 0 and len(pairs) <= 12
+    for i, rec in enumerate(pairs):
+        assert set(rec) == {"step", "epoch", "kind", "mean_loss", "val_oa", "lr"}
+        assert rec["step"] == 2 and rec["epoch"] == i
+        assert rec["kind"] == ("labeled", "artificial")[i % 2]
+        assert np.isfinite(rec["mean_loss"]) and rec["lr"] > 0
+        # validation runs once per pair, after its artificial epoch
+        assert (rec["val_oa"] is None) == (i % 2 == 0)
+    best = max(rec["val_oa"] for rec in records if rec["val_oa"] is not None)
+    assert load_checkpoint(pipeline / "step2.ckpt").best_val_oa == best
 
 
 def test_refine_rejects_mismatched_labels(pipeline, trained, tmp_path):

@@ -210,6 +210,9 @@ def test_split_by_tiles_validation():
         split_by_tiles(cloud, fractions=(0.5, 0.6))
     with pytest.raises(ValueError):
         split_by_tiles(cloud, tile_side=1e9, fractions=(0.5, 0.3, 0.2))
+    for bad in (0.0, -2.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tile side"):
+            split_by_tiles(cloud, tile_side=bad)
 
 
 def test_split_and_slice_matches_the_separate_stages():

@@ -11,6 +11,7 @@ import pytest
 from axcrf import training
 from axcrf.crf import AXcrfParams
 from axcrf.model import unary_forward
+from axcrf.neighbors import NeighborIndex
 from axcrf.pointcloud import FeatureScaler, PointCloud, generate_synthetic, slice_blocks
 from axcrf.training import (ArtificialLabelSet, CheckpointError, CorruptHeaderError,
                             EarlyStopper, ModelCheckpoint, NumericError, TrainConfig,
@@ -114,6 +115,15 @@ def test_train_config_validation():
     for bad in ((), (0.5, 0.0), (-1.0,), (math.nan,), (math.inf,)):
         with pytest.raises(ValueError, match="theta_beta_candidates"):
             TrainConfig(C=2, theta_beta_candidates=bad)
+    for name, bad in (("K", 0), ("C_delta", 0), ("hidden", 0), ("crf_K", 0),
+                      ("r", -1), ("D_list", (1, 0)), ("block_channels", (8, 0)),
+                      ("block_strides", (0, 2)), ("offset_scale", 0.0),
+                      ("offset_scale", -1.0), ("offset_scale", math.inf),
+                      ("offset_scale", math.nan)):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(C=2, **{name: bad})
+    TrainConfig(C=2, K=1, C_delta=1, hidden=1, crf_K=1, r=0, D_list=(1,),
+                block_channels=(1,), block_strides=(1,), offset_scale=1e-3)
 
 
 # -- coverage voting -------------------------------------------------------------------
@@ -195,6 +205,32 @@ def test_step1_deterministic(step1_run):
     s = step1_run
     again = train_step1(s.cloud, s.train_blocks, s.val_blocks, s.config)
     assert checkpoint_id(again) == checkpoint_id(s.ckpt)
+
+
+def test_step1_sorts_each_validation_pass_once(step1_run, monkeypatch):
+    # one neighbor sort per training block per epoch, plus one per
+    # validation pass for the whole run, not one per pass per epoch
+    s = step1_run
+    calls = []
+    real = NeighborIndex.nearest_others_all
+
+    def counting(self, k):
+        calls.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(NeighborIndex, "nearest_others_all", counting)
+    ckpt = train_step1(s.cloud, s.train_blocks, s.val_blocks, s.config)
+    monkeypatch.undo()
+    epochs = len(open(s.log).readlines())
+    _, _, passes = coverage_vote_predict(
+        s.cloud, s.val_blocks, lambda p, f: np.zeros((len(p), s.cloud.C)),
+        s.config.n_sample, s.config.seed, salt=training._SALT_VAL)
+    assert epochs == s.config.max_epochs and passes > len(s.val_blocks)
+    assert len(calls) == epochs * len(s.train_blocks) + passes
+    # the stored sorts score the returned model as a fresh evaluation does
+    assert ckpt.best_val_oa == evaluate_oa(
+        s.cloud, s.val_blocks, lambda p, f: unary_forward(p, f, ckpt.model),
+        s.config.n_sample, s.config.seed)
 
 
 def test_step1_validation(step1_run):
