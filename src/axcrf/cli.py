@@ -21,6 +21,8 @@ import json
 import os
 import sys
 
+from . import _keep_freed_arrays
+
 _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -163,7 +165,7 @@ def _default_columns(path, labeled):
 def _check_column_map(cmap):
     """A config-file column_map by the roles --columns takes: x, y, z and
     label as integer column indices, features as a list of them. A negative
-    index is left to the point-file loader, which rejects it as a data error."""
+    index is a usage error here, as it is in --columns."""
     if not isinstance(cmap, dict):
         raise CliError(f"column_map must be a JSON object of column roles, "
                        f"got {cmap!r}", code=1)
@@ -182,6 +184,10 @@ def _check_column_map(cmap):
                                f"index, got {value!r}", code=1)
         else:
             raise CliError(f"column_map: unknown column role {key!r}", code=1)
+        for v in value if key == "features" else [value]:
+            if v < 0:
+                raise CliError(f"column_map: negative column index {v} for {key!r}",
+                               code=1)
     return dict(cmap)
 
 
@@ -416,9 +422,8 @@ def _cmd_refine(args, file_config):
                            f"got {thetas_arg!r}", code=1)
     else:
         thetas = select_thetas(ckpt.model, split.labeled, split.val_blocks, config)
-        print(f"grid search selected alpha={thetas.theta_alpha} "
-              f"beta={thetas.theta_beta} gamma={thetas.theta_gamma}",
-              file=sys.stderr)
+        print(f"bandwidths alpha={thetas.theta_alpha} beta={thetas.theta_beta} "
+              f"gamma={thetas.theta_gamma} (the first candidates)", file=sys.stderr)
     refined = train_step2(ckpt, split.labeled, split.train_blocks, artificial,
                           split.val_blocks, config=config, thetas=thetas,
                           log_path=_merged(args, file_config, "log"))
@@ -582,7 +587,9 @@ def build_parser():
                    help="unlabeled point file the labels were generated for")
     p.add_argument("--artificial-labels", dest="artificial_labels",
                    help="label file from the labels subcommand")
-    p.add_argument("--thetas", help="alpha,beta,gamma; omit to grid-search")
+    p.add_argument("--thetas", help="alpha,beta,gamma; omit for the first configured "
+                   "candidates, which a search with the stack's initial weights "
+                   "always picks")
 
     p = sub.add_parser("predict", help="label every input point")
     _add_common(p)
@@ -649,32 +656,6 @@ def dispatch(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     return 0
-
-
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3     # glibc <malloc.h>
-
-
-def _keep_freed_arrays():
-    """Make glibc malloc reuse freed arrays instead of handing them back.
-
-    Every block pass allocates and frees the same few MB of arrays. By
-    default glibc hands the larger ones back to the kernel (munmap or heap
-    trim), so each pass faults in fresh zeroed pages: about 120k faults and a third of the wall
-    time of ``labels`` on 512-point samples, a kernel cost that swings with
-    the machine's memory load. Arrays up to 32 MB now come from the heap and
-    up to 128 MB of freed heap is kept. Process-wide and idempotent:
-    ``dispatch`` sets it, so in-process callers run under the same settings
-    as the command line; a no-op off glibc.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    import ctypes
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
 
 
 def main() -> None:

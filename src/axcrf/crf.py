@@ -261,47 +261,6 @@ def xcrf_forward(U: np.ndarray, positions: np.ndarray, features: np.ndarray,
     return out.values.copy()
 
 
-def _level_geometry(positions, features, params: AXcrfParams, index: NeighborIndex,
-                    sorted_idx=None, sorted_dist=None) -> list[tuple]:
-    """Per level (neighbor indices, pos_d2, feat_d2), every stride selected
-    from one sort at the stack's largest rank."""
-    positions = np.asarray(positions, dtype=np.float64)
-    features = np.asarray(features, dtype=np.float64)
-    if sorted_idx is None:
-        sorted_idx, sorted_dist = index.nearest_others_all(params.max_neighbor_rank)
-    geometry = []
-    for lv in params.levels:
-        nbr_idx, _ = atrous_gather_all(index, lv.K, lv.D,
-                                       sorted_idx=sorted_idx, sorted_dist=sorted_dist)
-        geometry.append((nbr_idx, *_pair_d2(positions, features, nbr_idx)))
-    return geometry
-
-
-def _stack_graph(tape: Tape, U: Tensor, params: AXcrfParams,
-                 geometry) -> tuple[Tensor, dict[str, Tensor]]:
-    bindings: dict[str, Tensor] = {}
-    total = None
-    shared_leaves = None
-    for li, (lv, (nbr_idx, pos_d2, feat_d2)) in enumerate(zip(params.levels, geometry)):
-        if params.shared and shared_leaves is not None:
-            wb_t, ws_t, compat_t = shared_leaves
-        else:
-            wb_t = tape.leaf(lv.bilateral_weight)
-            ws_t = tape.leaf(lv.spatial_weight)
-            compat_t = tape.leaf(lv.compat)
-            key = "shared" if params.shared else f"level{li}"
-            bindings[f"xcrf.{key}.bilateral_weight"] = wb_t
-            bindings[f"xcrf.{key}.spatial_weight"] = ws_t
-            bindings[f"xcrf.{key}.compat"] = compat_t
-            if params.shared:
-                shared_leaves = (wb_t, ws_t, compat_t)
-        filters = _filters(pos_d2, feat_d2, lv)
-        out = xcrf_graph(tape, U, filters.B_f, filters.S_f, nbr_idx,
-                         wb_t, ws_t, compat_t, lv.r)
-        total = out if total is None else total + out
-    return total, bindings
-
-
 def axcrf_graph(tape: Tape, U: Tensor, positions: np.ndarray, features: np.ndarray,
                 params: AXcrfParams, index: NeighborIndex,
                 sorted_idx: np.ndarray | None = None,
@@ -317,8 +276,33 @@ def axcrf_graph(tape: Tape, U: Tensor, positions: np.ndarray, features: np.ndarr
     deeper ``index.nearest_others_all`` to share one sort with the unary
     classifier; its leading columns equal a shallower query bit for bit.
     """
-    geometry = _level_geometry(positions, features, params, index, sorted_idx, sorted_dist)
-    return _stack_graph(tape, U, params, geometry)
+    positions = np.asarray(positions, dtype=np.float64)
+    features = np.asarray(features, dtype=np.float64)
+    if sorted_idx is None:
+        sorted_idx, sorted_dist = index.nearest_others_all(params.max_neighbor_rank)
+    bindings: dict[str, Tensor] = {}
+    total = None
+    shared_leaves = None
+    for li, lv in enumerate(params.levels):
+        if params.shared and shared_leaves is not None:
+            wb_t, ws_t, compat_t = shared_leaves
+        else:
+            wb_t = tape.leaf(lv.bilateral_weight)
+            ws_t = tape.leaf(lv.spatial_weight)
+            compat_t = tape.leaf(lv.compat)
+            key = "shared" if params.shared else f"level{li}"
+            bindings[f"xcrf.{key}.bilateral_weight"] = wb_t
+            bindings[f"xcrf.{key}.spatial_weight"] = ws_t
+            bindings[f"xcrf.{key}.compat"] = compat_t
+            if params.shared:
+                shared_leaves = (wb_t, ws_t, compat_t)
+        nbr_idx, _ = atrous_gather_all(index, lv.K, lv.D,
+                                       sorted_idx=sorted_idx, sorted_dist=sorted_dist)
+        filters = _filters(*_pair_d2(positions, features, nbr_idx), lv)
+        out = xcrf_graph(tape, U, filters.B_f, filters.S_f, nbr_idx,
+                         wb_t, ws_t, compat_t, lv.r)
+        total = out if total is None else total + out
+    return total, bindings
 
 
 def axcrf_forward(U: np.ndarray, positions: np.ndarray, features: np.ndarray,
@@ -348,45 +332,37 @@ def grid_search_thetas(blocks, C: int, D_list=(1, 2, 3, 4, 8, 16), K: int = 64,
                        beta_candidates=THETA_BETA_CANDIDATES,
                        gamma_candidates=THETA_GAMMA_CANDIDATES,
                        shared: bool = False) -> ThetaGridResult:
-    """Pick bandwidths by exhaustive search before any training.
+    """The bandwidths an exhaustive search would pick before any training:
+    the first candidate of each list, scored by the unaries' accuracy.
 
-    Each candidate triple runs one refinement pass with freshly initialized
-    (frozen) weights over every validation block; the triple with the best
-    overall accuracy wins, ties going to the earliest candidate in
-    (alpha, beta, gamma) iteration order. ``blocks`` is a sequence of
-    (U, positions, features, labels, index) tuples.
+    The search it replaces ran one refinement pass per (alpha, beta, gamma)
+    triple with ``AXcrfParams.initial`` weights and kept the first triple
+    with the strictly best overall accuracy. Those weights (positive filter
+    weights, hollow all-ones compatibility) never penalize a point's
+    current class and never reward another, so the stack keeps every
+    argmax, every triple scores the unaries' accuracy, and the first one
+    wins. The stack's settings (``C``, ``D_list``, ``K``, ``r``,
+    ``shared``) therefore do not enter the result.
 
-    Blocks run outer and triples inner: each block is sorted once and its
-    per-level neighbors and squared distances are computed once, so a
-    triple pays only for its Gaussian responses and the mean field, with
-    outputs bit-equal to ``axcrf_forward``.
+    Caveat: the equality holds on measured data, not as an identity. Where
+    two class scores nearly tie, the row softmax or the sum over levels can
+    round them to a tie or flip their order, and such a point could change
+    its argmax under some triple. The test suite pins this shortcut against
+    the exhaustive search on duplicate-heavy blocks.
 
-    Bandwidths stay fixed afterwards; only the filter weights and the
-    compatibility matrix train.
+    ``blocks`` is a sequence of (U, positions, features, labels, index)
+    tuples. Bandwidths stay fixed afterwards; only the filter weights and
+    the compatibility matrix train.
     """
     blocks = list(blocks)
     if not blocks:
         raise ValueError("grid search needs at least one validation block")
-    triples = [(ta, tb, tg) for ta in alpha_candidates for tb in beta_candidates
-               for tg in gamma_candidates]
-    params = [AXcrfParams.initial(C, D_list=D_list, K=K, r=r, theta_alpha=ta,
-                                  theta_beta=tb, theta_gamma=tg, shared=shared)
-              for ta, tb, tg in triples]
-    correct = [0] * len(triples)
-    total = 0
-    for U, positions, features, labels, index in blocks:
-        geometry = _level_geometry(positions, features, params[0], index)
-        for t, p in enumerate(params):
-            tape = Tape()
-            out, _ = _stack_graph(tape, tape.leaf(U), p, geometry)
-            correct[t] += int((predict(out.values) == np.asarray(labels)).sum())
+    correct = total = 0
+    for U, _, _, labels, _ in blocks:
+        correct += int((predict(U) == np.asarray(labels)).sum())
         total += len(U)
-    best = None
-    for (ta, tb, tg), right in zip(triples, correct):
-        oa = right / total if total else 0.0
-        if best is None or oa > best.overall_accuracy:
-            best = ThetaGridResult(ta, tb, tg, oa)
-    return best
+    return ThetaGridResult(alpha_candidates[0], beta_candidates[0], gamma_candidates[0],
+                           correct / total if total else 0.0)
 
 
 def predict(U_final: np.ndarray) -> np.ndarray:

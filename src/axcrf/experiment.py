@@ -1,7 +1,7 @@
 """End-to-end synthetic experiment: generate, slice, train, refine, report.
 
 One function drives the whole two-step protocol on a synthetic cloud for
-the acceptance suite; its data preparation and bandwidth search are the
+the acceptance suite; its data preparation and bandwidth choice are the
 library calls the command line makes too. Every stage is seeded; two runs
 with the same ExperimentConfig are bit-identical.
 """
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _keep_freed_arrays
 from .metrics import confusion_matrix, scores, format_report
 from .model import unary_forward
 from .pointcloud import PointCloud, generate_synthetic, split_and_slice, write_labels
@@ -85,6 +86,7 @@ def run_synthetic_experiment(config: ExperimentConfig | None = None,
     When out_dir is given, checkpoints, training logs, predicted test labels,
     and a JSON report land there.
     """
+    _keep_freed_arrays()
     cfg = config if config is not None else ExperimentConfig()
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -124,7 +126,8 @@ def run_synthetic_experiment(config: ExperimentConfig | None = None,
     t_eval1 = time.time() - t2
     say(f"step1 test OA {step1_test_oa:.4f}")
 
-    # bandwidth grid search on the validation blocks, unary weights frozen
+    # bandwidths: the first candidates, scored by the frozen unaries'
+    # accuracy on the validation blocks (see crf.grid_search_thetas)
     t3 = time.time()
     thetas = select_thetas(step1.model, labeled, val_blocks, step1.config)
     t_grid = time.time() - t3

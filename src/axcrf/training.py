@@ -29,8 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import Tape, backward
-from .crf import (AXcrfParams, XcrfLevelParams, ThetaGridResult, axcrf_forward,
-                  axcrf_graph, grid_search_thetas, predict)
+from .crf import (THETA_ALPHA_CANDIDATES, THETA_BETA_CANDIDATES,
+                  THETA_GAMMA_CANDIDATES, AXcrfParams, XcrfLevelParams,
+                  ThetaGridResult, axcrf_forward, axcrf_graph, grid_search_thetas,
+                  predict)
 from .model import (MlpParams, UnaryModelParams, XConvParams, cross_entropy_graph,
                     init_unary_model, named_param_arrays, unary_forward, unary_graph)
 from .neighbors import build_index
@@ -91,9 +93,9 @@ class TrainConfig:
     r: int = 5
     shared_levels: bool = False
     alternate_per_batch: bool = False
-    theta_alpha_candidates: tuple = (0.5, 1.0, 2.0, 4.0)
-    theta_beta_candidates: tuple = (0.05, 0.1, 0.25, 0.5)
-    theta_gamma_candidates: tuple = (0.5, 1.0, 2.0, 4.0)
+    theta_alpha_candidates: tuple = THETA_ALPHA_CANDIDATES
+    theta_beta_candidates: tuple = THETA_BETA_CANDIDATES
+    theta_gamma_candidates: tuple = THETA_GAMMA_CANDIDATES
 
     def __post_init__(self):
         for name in ("block_channels", "block_strides", "D_list",
@@ -529,10 +531,10 @@ def train_step1(cloud: PointCloud, train_blocks, val_blocks, config: TrainConfig
 
 def select_thetas(model: UnaryModelParams, cloud: PointCloud, val_blocks,
                   config: TrainConfig) -> ThetaGridResult:
-    """Grid-search the stack's bandwidths on one seeded sample per
-    validation block, scored through the classifier's frozen unary
-    potentials; the search settings (levels, ranks, candidates, sharing)
-    come from ``config``."""
+    """The stack's bandwidths from ``grid_search_thetas``: the first of each
+    configured candidate list, the triple an exhaustive search with the
+    stack's initial weights keeps. ``overall_accuracy`` is the frozen
+    classifier's unary accuracy on one seeded sample per validation block."""
     samples = []
     for b in val_blocks:
         s = sample_block(b, config.n_sample, block_seed(config.seed, b, _SALT_GRID))

@@ -5,7 +5,8 @@ sharing no code with the package beyond numpy itself. The production code
 is vectorized (dense distance-matrix selection, batched gathers, einsum
 aggregation); agreement between the two routes is what the tests certify.
 Four exceptions drive package code by an older, plainer route:
-``triple_outer_grid`` replays the bandwidth search from the package's public
+``triple_outer_grid`` runs the exhaustive bandwidth search that
+``grid_search_thetas`` answers without running, from the package's public
 per-call forward, one fresh neighbor sort per (triple, block);
 ``xconv_forward`` applies one X-Conv block to one point on a tape of its
 own; ``chain_apply`` records each dense layer as matrix-multiply, add and

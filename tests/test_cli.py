@@ -165,7 +165,7 @@ def test_slice_rejects_negative_column_map_in_config(workdir, tmp_path, capsys):
     code = dispatch(["slice", "--input", str(workdir / "cloud.txt"),
                      "--out", str(tmp_path / "b"), "--block", "60",
                      "--config", str(cfg)])
-    assert code == 2
+    assert code == 1
     assert "negative column index" in capsys.readouterr().err
     assert not (tmp_path / "b").exists()
 
@@ -409,9 +409,26 @@ def test_refine_empty_theta_candidates_is_usage_error(pipeline, trained, tmp_pat
                         pipeline / "unlabeled.txt")
     argv[argv.index("--config") + 1] = str(cfg)
     i = argv.index("--thetas")
-    del argv[i:i + 2]                   # run the grid search
+    del argv[i:i + 2]                   # take the bandwidths from the candidates
     assert dispatch(argv) == 1
     assert "theta_alpha_candidates" in capsys.readouterr().err
+
+
+def test_refine_without_thetas_takes_first_candidates(pipeline, trained, tmp_path,
+                                                      capsys):
+    from axcrf.training import load_checkpoint
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({**TINY_FILE, "theta_alpha_candidates": [2.0, 0.5],
+                               "theta_beta_candidates": [0.25, 0.1],
+                               "theta_gamma_candidates": [4.0, 1.0]}))
+    argv = _refine_argv(pipeline, trained, tmp_path / "x.ckpt",
+                        pipeline / "unlabeled.txt")
+    argv[argv.index("--config") + 1] = str(cfg)
+    i = argv.index("--thetas")
+    del argv[i:i + 2]
+    assert dispatch(argv) == 0
+    assert "alpha=2.0 beta=0.25 gamma=4.0" in capsys.readouterr().err
+    assert load_checkpoint(tmp_path / "x.ckpt").thetas == (2.0, 0.25, 4.0)
 
 
 def test_predict_non_scalar_config_is_data_error(pipeline, tmp_path, capsys):
@@ -543,3 +560,16 @@ def test_entry_point_reuses_freed_arrays(monkeypatch, capsys):
     with pytest.raises(SystemExit):
         main()
     assert calls == [1]
+
+    # the synthetic recipe applies it before its first stage
+    import axcrf.experiment as experiment
+
+    class Applied(Exception):
+        pass
+
+    def applied():
+        raise Applied
+
+    monkeypatch.setattr(experiment, "_keep_freed_arrays", applied)
+    with pytest.raises(Applied):
+        experiment.run_synthetic_experiment()
