@@ -71,7 +71,7 @@ _TRAIN_KEYS = ("lr", "lr_decay", "lr_decay_every", "lr_floor", "momentum",
                "batch_blocks", "patience", "max_epochs", "seed", "n_sample",
                "K", "block_channels", "block_strides", "C_delta", "hidden",
                "dropout_rate", "offset_scale", "D_list", "crf_K", "r",
-               "shared_levels", "alternate_per_batch", "theta_alpha_candidates",
+               "shared_levels", "theta_alpha_candidates",
                "theta_beta_candidates", "theta_gamma_candidates", "C")
 _PLUMBING_KEYS = ("input", "out", "model", "log", "columns", "column_map",
                   "preset", "block", "shift", "min_points", "val_fraction",
@@ -265,11 +265,21 @@ def _load_ckpt(path):
         raise CliError(f"checkpoint {path}: {exc}") from exc
 
 
-def _slicing(args, file_config, min_points=64):
-    """(side, shift, min_points) of the slicing grid."""
-    side = float(_merged(args, file_config, "block", 25.0))
-    shift = float(_merged(args, file_config, "shift", side / 2.0))
-    min_points = int(_merged(args, file_config, "min_points", min_points))
+def _slicing(args, file_config, ckpt=None, min_points=None):
+    """(side, shift, min_points) of the slicing grid.
+
+    Each value comes from its flag, else the config file, else the slicing
+    ``ckpt`` recorded, else 25 m, side/2 and 64. A side given without a
+    shift shifts by half of it. ``min_points`` replaces the recorded or
+    built-in floor."""
+    recorded = None if ckpt is None else ckpt.slicing
+    side, shift, floor = recorded or (25.0, 12.5, 64)
+    if _merged(args, file_config, "block") is not None:
+        side = float(_merged(args, file_config, "block"))
+        shift = side / 2.0
+    shift = float(_merged(args, file_config, "shift", shift))
+    min_points = int(_merged(args, file_config, "min_points",
+                             floor if min_points is None else min_points))
     # the chained comparisons are false for nan as well
     if not 0.0 < side < float("inf"):
         raise CliError(f"block side must be positive and finite, got {side}", code=1)
@@ -280,9 +290,9 @@ def _slicing(args, file_config, min_points=64):
     return side, shift, min_points
 
 
-def _split_labeled(args, file_config, C, missing_label):
+def _split_labeled(args, file_config, C, missing_label, ckpt=None):
     """Load the labeled --input and tile-split it into sliced train and
-    validation parts."""
+    validation parts; returns (split, slicing)."""
     from .pointcloud import split_and_slice
 
     cmap = _resolve_columns(args, file_config, labeled=True, path=args.input)
@@ -296,7 +306,7 @@ def _split_labeled(args, file_config, C, missing_label):
     # the chained comparison is false for nan as well
     if not 0.0 < tile < float("inf"):
         raise CliError(f"tile must be a positive finite number, got {tile}", code=1)
-    side, shift, min_points = _slicing(args, file_config)
+    side, shift, min_points = _slicing(args, file_config, ckpt)
     split = split_and_slice(cloud, tile_side=tile,
                             fractions=(1.0 - val_fraction, val_fraction),
                             seed=int(_merged(args, file_config, "seed", 0)),
@@ -304,7 +314,7 @@ def _split_labeled(args, file_config, C, missing_label):
     if not split.train_blocks or not split.val_blocks:
         raise CliError("block slicing left an empty train or validation set; "
                        "lower --min-points or use larger partitions")
-    return split
+    return split, (side, shift, min_points)
 
 
 # subcommand bodies
@@ -338,11 +348,12 @@ def _cmd_train(args, file_config):
     if C is None:
         raise CliError("train needs --classes", code=1)
     C = int(C)
-    split = _split_labeled(args, file_config, C,
-                           "train needs a label column; add label= to --columns")
+    split, slicing = _split_labeled(args, file_config, C,
+                                    "train needs a label column; add label= to --columns")
     config = _train_config_from(args, file_config, C)
     ckpt = train_step1(split.labeled, split.train_blocks, split.val_blocks, config,
-                       scaler=split.scaler, log_path=_merged(args, file_config, "log"))
+                       scaler=split.scaler, slicing=slicing,
+                       log_path=_merged(args, file_config, "log"))
     save_checkpoint(ckpt, args.out)
     print(f"best validation OA {ckpt.best_val_oa:.4f} at iteration "
           f"{ckpt.iteration}; checkpoint written to {args.out}")
@@ -354,7 +365,7 @@ def _cmd_labels(args, file_config):
     from .training import generate_artificial_labels
     ckpt = _load_ckpt(args.model)
     cloud = _load_unlabeled(args.input, args, file_config, ckpt)
-    side, shift, min_points = _slicing(args, file_config)
+    side, shift, min_points = _slicing(args, file_config, ckpt)
     blocks = slice_blocks(cloud, side=side, shift=shift, min_points=min_points)
     if not blocks:
         raise CliError("no blocks survived slicing; lower --min-points")
@@ -369,12 +380,14 @@ def _cmd_labels(args, file_config):
 def _cmd_refine(args, file_config):
     import numpy as np
     from .pointcloud import read_labels, slice_blocks
+    from .crf import first_thetas
     from .training import (ArtificialLabelSet, checkpoint_id, save_checkpoint,
-                           select_thetas, train_step2)
+                           train_step2)
     ckpt = _load_ckpt(args.model)
     C = ckpt.config.C
-    split = _split_labeled(args, file_config, C,
-                           "refine needs a labeled cloud; add label= to --columns")
+    split, slicing = _split_labeled(args, file_config, C,
+                                    "refine needs a labeled cloud; add label= to "
+                                    "--columns", ckpt)
 
     art_path = _merged(args, file_config, "artificial_input")
     lab_path = _merged(args, file_config, "artificial_labels")
@@ -391,7 +404,7 @@ def _cmd_refine(args, file_config):
                        f"{art_cloud.n_points} points")
     if dense.max(initial=-1) >= C:
         raise CliError(f"artificial labels exceed the class count {C}")
-    side, shift, min_points = _slicing(args, file_config)
+    side, shift, min_points = slicing
     art_blocks = slice_blocks(art_cloud, side=side, shift=shift,
                               min_points=min_points)
     members = np.zeros(art_cloud.n_points, dtype=bool)
@@ -421,12 +434,14 @@ def _cmd_refine(args, file_config):
             raise CliError(f"--thetas needs three positive numbers alpha,beta,gamma, "
                            f"got {thetas_arg!r}", code=1)
     else:
-        thetas = select_thetas(ckpt.model, split.labeled, split.val_blocks, config)
-        print(f"bandwidths alpha={thetas.theta_alpha} beta={thetas.theta_beta} "
-              f"gamma={thetas.theta_gamma} (the first candidates)", file=sys.stderr)
+        thetas = first_thetas(config.theta_alpha_candidates,
+                              config.theta_beta_candidates,
+                              config.theta_gamma_candidates)
+        print("bandwidths alpha={} beta={} gamma={} (the first candidates)".format(
+            *thetas), file=sys.stderr)
     refined = train_step2(ckpt, split.labeled, split.train_blocks, artificial,
                           split.val_blocks, config=config, thetas=thetas,
-                          log_path=_merged(args, file_config, "log"))
+                          slicing=slicing, log_path=_merged(args, file_config, "log"))
     save_checkpoint(refined, args.out)
     print(f"best validation OA {refined.best_val_oa:.4f}; refined checkpoint "
           f"written to {args.out}")
@@ -439,8 +454,8 @@ def _cmd_predict(args, file_config):
     from .training import _SALT_PREDICT, coverage_vote_predict, pipeline_forward
     ckpt = _load_ckpt(args.model)
     cloud = _load_unlabeled(args.input, args, file_config, ckpt)
-    # every input line must receive a label, so empty blocks are kept
-    side, shift, min_points = _slicing(args, file_config, min_points=1)
+    # every input line must receive a label, so sparse blocks are kept
+    side, shift, min_points = _slicing(args, file_config, ckpt, min_points=1)
     blocks = slice_blocks(cloud, side=side, shift=shift, min_points=min_points)
     if not blocks:
         raise CliError("no blocks to predict on")
@@ -532,12 +547,18 @@ def _add_common(p, needs_input=True, needs_out=True):
                    help="cap math-library threads; 1 for bit-exact runs")
 
 
-def _add_block_flags(p):
-    p.add_argument("--block", type=float, help="block side in meters (default 25)")
+def _add_block_flags(p, recorded=False, floor_help=None):
+    """``recorded``: the defaults are the slicing the checkpoint recorded;
+    ``floor_help`` replaces the help text of the --min-points default."""
+    source = "the checkpoint's, else " if recorded else ""
+    p.add_argument("--block", type=float,
+                   help=f"block side in meters (default {source}25)")
     p.add_argument("--shift", type=float,
-                   help="diagonal offset of the second grid (default side/2)")
+                   help=f"diagonal offset of the second grid (default {source}side/2; "
+                        f"side/2 when --block is given)")
     p.add_argument("--min-points", dest="min_points", type=int,
-                   help="drop blocks with fewer members (default 64)")
+                   help="drop blocks with fewer members (default "
+                        f"{floor_help or source + '64'})")
 
 
 def _add_train_flags(p):
@@ -575,12 +596,12 @@ def build_parser():
 
     p = sub.add_parser("labels", help="predict artificial labels for an unlabeled cloud")
     _add_common(p)
-    _add_block_flags(p)
+    _add_block_flags(p, recorded=True)
     p.add_argument("--model", required=True, help="validated checkpoint")
 
     p = sub.add_parser("refine", help="retrain against frozen artificial labels")
     _add_common(p)
-    _add_block_flags(p)
+    _add_block_flags(p, recorded=True)
     _add_train_flags(p)
     p.add_argument("--model", required=True, help="validated step-1 checkpoint")
     p.add_argument("--artificial-input", dest="artificial_input",
@@ -593,7 +614,7 @@ def build_parser():
 
     p = sub.add_parser("predict", help="label every input point")
     _add_common(p)
-    _add_block_flags(p)
+    _add_block_flags(p, recorded=True, floor_help="1, so every point gets a label")
     p.add_argument("--model", required=True, help="checkpoint to predict with")
 
     p = sub.add_parser("eval", help="score predictions against ground truth")

@@ -25,8 +25,9 @@ from .neighbors import NeighborIndex, atrous_gather_all
 __all__ = [
     "XcrfLevelParams", "AXcrfParams", "FilterResponse", "MeanFieldState",
     "gaussian_filters", "xcrf_forward", "axcrf_forward", "predict",
-    "xcrf_graph", "axcrf_graph", "ThetaGridResult", "grid_search_thetas",
-    "THETA_ALPHA_CANDIDATES", "THETA_BETA_CANDIDATES", "THETA_GAMMA_CANDIDATES",
+    "xcrf_graph", "axcrf_graph", "ThetaGridResult", "first_thetas",
+    "grid_search_thetas", "THETA_ALPHA_CANDIDATES", "THETA_BETA_CANDIDATES",
+    "THETA_GAMMA_CANDIDATES",
 ]
 
 THETA_ALPHA_CANDIDATES = (0.5, 1.0, 2.0, 4.0)
@@ -121,6 +122,15 @@ class AXcrfParams:
 
     def copy(self) -> "AXcrfParams":
         return AXcrfParams([lv.copy() for lv in self.levels], shared=self.shared)
+
+    def weight_groups(self) -> list[tuple[str, list[XcrfLevelParams]]]:
+        """(name prefix, levels) of each set of trainable weights: one
+        ``xcrf.shared`` group over every level when levels share weights,
+        else one ``xcrf.level{i}`` group per level. The group's first level
+        holds its values; every level of a group holds equal ones."""
+        if self.shared:
+            return [("xcrf.shared", list(self.levels))]
+        return [(f"xcrf.level{i}", [lv]) for i, lv in enumerate(self.levels)]
 
 
 @dataclass
@@ -282,26 +292,20 @@ def axcrf_graph(tape: Tape, U: Tensor, positions: np.ndarray, features: np.ndarr
         sorted_idx, sorted_dist = index.nearest_others_all(params.max_neighbor_rank)
     bindings: dict[str, Tensor] = {}
     total = None
-    shared_leaves = None
-    for li, lv in enumerate(params.levels):
-        if params.shared and shared_leaves is not None:
-            wb_t, ws_t, compat_t = shared_leaves
-        else:
-            wb_t = tape.leaf(lv.bilateral_weight)
-            ws_t = tape.leaf(lv.spatial_weight)
-            compat_t = tape.leaf(lv.compat)
-            key = "shared" if params.shared else f"level{li}"
-            bindings[f"xcrf.{key}.bilateral_weight"] = wb_t
-            bindings[f"xcrf.{key}.spatial_weight"] = ws_t
-            bindings[f"xcrf.{key}.compat"] = compat_t
-            if params.shared:
-                shared_leaves = (wb_t, ws_t, compat_t)
-        nbr_idx, _ = atrous_gather_all(index, lv.K, lv.D,
-                                       sorted_idx=sorted_idx, sorted_dist=sorted_dist)
-        filters = _filters(*_pair_d2(positions, features, nbr_idx), lv)
-        out = xcrf_graph(tape, U, filters.B_f, filters.S_f, nbr_idx,
-                         wb_t, ws_t, compat_t, lv.r)
-        total = out if total is None else total + out
+    for prefix, group in params.weight_groups():
+        wb_t = tape.leaf(group[0].bilateral_weight)
+        ws_t = tape.leaf(group[0].spatial_weight)
+        compat_t = tape.leaf(group[0].compat)
+        bindings[f"{prefix}.bilateral_weight"] = wb_t
+        bindings[f"{prefix}.spatial_weight"] = ws_t
+        bindings[f"{prefix}.compat"] = compat_t
+        for lv in group:
+            nbr_idx, _ = atrous_gather_all(index, lv.K, lv.D,
+                                           sorted_idx=sorted_idx, sorted_dist=sorted_dist)
+            filters = _filters(*_pair_d2(positions, features, nbr_idx), lv)
+            out = xcrf_graph(tape, U, filters.B_f, filters.S_f, nbr_idx,
+                             wb_t, ws_t, compat_t, lv.r)
+            total = out if total is None else total + out
     return total, bindings
 
 
@@ -317,6 +321,13 @@ def axcrf_forward(U: np.ndarray, positions: np.ndarray, features: np.ndarray,
     out, _ = axcrf_graph(tape, tape.leaf(U), positions, features, params, index,
                          sorted_idx=sorted_idx, sorted_dist=sorted_dist)
     return out.values.copy()
+
+
+def first_thetas(alpha_candidates, beta_candidates,
+                 gamma_candidates) -> tuple[float, float, float]:
+    """(theta_alpha, theta_beta, theta_gamma): the first of each candidate
+    list, the triple ``grid_search_thetas`` returns."""
+    return alpha_candidates[0], beta_candidates[0], gamma_candidates[0]
 
 
 @dataclass(frozen=True)
@@ -361,7 +372,8 @@ def grid_search_thetas(blocks, C: int, D_list=(1, 2, 3, 4, 8, 16), K: int = 64,
     for U, _, _, labels, _ in blocks:
         correct += int((predict(U) == np.asarray(labels)).sum())
         total += len(U)
-    return ThetaGridResult(alpha_candidates[0], beta_candidates[0], gamma_candidates[0],
+    return ThetaGridResult(*first_thetas(alpha_candidates, beta_candidates,
+                                         gamma_candidates),
                            correct / total if total else 0.0)
 
 

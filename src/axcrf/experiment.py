@@ -115,6 +115,7 @@ def run_synthetic_experiment(config: ExperimentConfig | None = None,
     t1 = time.time()
     step1 = train_step1(labeled, train_blocks, val_blocks,
                         cfg.train_config(cfg.max_epochs_step1), scaler=split.scaler,
+                        slicing=(cfg.block_side, cfg.block_shift, cfg.min_points),
                         log_path=None if out is None else out / "step1.jsonl")
     t_step1 = time.time() - t1
     say(f"step1 best val OA {step1.best_val_oa:.4f} ({t_step1:.0f}s)")

@@ -53,7 +53,7 @@ class NumericError(RuntimeError):
     """Optimization produced a non-finite loss or gradient."""
 
 MAGIC = b"AXCRF"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # salts keep the sampling streams of unrelated phases independent
 _SALT_TRAIN = 101
@@ -92,7 +92,6 @@ class TrainConfig:
     crf_K: int = 64
     r: int = 5
     shared_levels: bool = False
-    alternate_per_batch: bool = False
     theta_alpha_candidates: tuple = THETA_ALPHA_CANDIDATES
     theta_beta_candidates: tuple = THETA_BETA_CANDIDATES
     theta_gamma_candidates: tuple = THETA_GAMMA_CANDIDATES
@@ -182,7 +181,7 @@ class ModelCheckpoint:
     config: TrainConfig
     best_val_oa: float
     iteration: int
-    version: int = FORMAT_VERSION
+    slicing: tuple | None = None    # (block side, shift, min_points) of training
 
 
 @dataclass
@@ -356,34 +355,21 @@ def _apply_sgd(model, axcrf, grads, lr, update_xcrf, velocity, momentum):
         arr -= lr * _step_value(velocity, name, grads[name], momentum)
     if axcrf is None or not update_xcrf:
         return
-    if axcrf.shared:
-        gb = _step_value(velocity, "xcrf.shared.bilateral_weight",
-                         grads["xcrf.shared.bilateral_weight"], momentum)
-        gs = _step_value(velocity, "xcrf.shared.spatial_weight",
-                         grads["xcrf.shared.spatial_weight"], momentum)
-        gc = _step_value(velocity, "xcrf.shared.compat",
-                         grads["xcrf.shared.compat"], momentum)
-        new_b = axcrf.levels[0].bilateral_weight - lr * float(gb)
-        new_s = axcrf.levels[0].spatial_weight - lr * float(gs)
-        new_c = axcrf.levels[0].compat - lr * gc
-        for lv in axcrf.levels:
+    for prefix, group in axcrf.weight_groups():
+        step_b, step_s, step_c = (
+            _step_value(velocity, f"{prefix}.{key}", grads[f"{prefix}.{key}"], momentum)
+            for key in ("bilateral_weight", "spatial_weight", "compat"))
+        new_b = group[0].bilateral_weight - lr * float(step_b)
+        new_s = group[0].spatial_weight - lr * float(step_s)
+        new_c = group[0].compat - lr * step_c
+        for lv in group:
             lv.bilateral_weight = new_b
             lv.spatial_weight = new_s
             lv.compat = new_c.copy()
-        return
-    for i, lv in enumerate(axcrf.levels):
-        lv.bilateral_weight -= lr * float(_step_value(
-            velocity, f"xcrf.level{i}.bilateral_weight",
-            grads[f"xcrf.level{i}.bilateral_weight"], momentum))
-        lv.spatial_weight -= lr * float(_step_value(
-            velocity, f"xcrf.level{i}.spatial_weight",
-            grads[f"xcrf.level{i}.spatial_weight"], momentum))
-        lv.compat -= lr * _step_value(velocity, f"xcrf.level{i}.compat",
-                                      grads[f"xcrf.level{i}.compat"], momentum)
 
 
 def _run_epoch(model, axcrf, cloud, blocks, labels_dense, config, epoch, t,
-               update_xcrf, salt, velocity=None):
+               update_xcrf, salt, velocity):
     """One shuffled pass over the blocks in batches of config.batch_blocks;
     gradients averaged over all points of a batch. Returns (t, mean loss)."""
     order_rng = np.random.default_rng([config.seed, _SALT_ORDER, salt, epoch])
@@ -411,58 +397,11 @@ def _run_epoch(model, axcrf, cloud, blocks, labels_dense, config, epoch, t,
                     agg[name] = agg[name] + w * g
                 else:
                     agg[name] = w * g
-        _apply_sgd(model, axcrf, agg, lr, update_xcrf,
-                   velocity if velocity is not None else {}, config.momentum)
+        _apply_sgd(model, axcrf, agg, lr, update_xcrf, velocity, config.momentum)
         loss_sum += batch_loss
         n_batches += 1
         t += 1
     return t, loss_sum / max(1, n_batches)
-
-
-def _interleaved_epoch_pair(model, axcrf, cloud, train_blocks, labels_dense,
-                            art, art_dense, config, epoch, t, velocity=None):
-    """Per-batch alternation variant of one step-2 epoch pair: labeled and
-    artificial batches interleave, freezing switching per batch."""
-    schedules = []
-    for salt, blocks in ((_SALT_TRAIN, train_blocks), (_SALT_ART, art.blocks)):
-        rng = np.random.default_rng([config.seed, _SALT_ORDER, salt, epoch])
-        order = rng.permutation(len(blocks))
-        schedules.append([order[i:i + config.batch_blocks]
-                          for i in range(0, len(order), config.batch_blocks)])
-    lab_sched, art_sched = schedules
-    losses = {exp: [] for exp in ("labeled", "artificial")}
-    li = ai = 0
-    turn_labeled = True
-    while li < len(lab_sched) or ai < len(art_sched):
-        if turn_labeled and li < len(lab_sched) or ai >= len(art_sched):
-            chunk, data, kind = lab_sched[li], (cloud, train_blocks, labels_dense, True, _SALT_TRAIN), "labeled"
-            li += 1
-        else:
-            chunk, data, kind = art_sched[ai], (art.cloud, art.blocks, art_dense, False, _SALT_ART), "artificial"
-            ai += 1
-        turn_labeled = not turn_labeled
-        c, blocks, dense, upd, salt = data
-        lr = learning_rate(config, t)
-        per = []
-        for bi in chunk:
-            block = blocks[int(bi)]
-            sseed = block_seed(config.seed, block, salt=salt * 1_000_003 + epoch)
-            drng = np.random.default_rng([sseed, _SALT_DROPOUT])
-            per.append(_block_grads(model, axcrf, c, block, dense, config, sseed, drng))
-        total_pts = sum(p[2] for p in per)
-        agg: dict[str, np.ndarray] = {}
-        batch_loss = 0.0
-        for grads, loss, npts in per:
-            w = npts / total_pts
-            batch_loss += w * loss
-            for name, g in grads.items():
-                agg[name] = agg[name] + w * g if name in agg else w * g
-        _apply_sgd(model, axcrf, agg, lr, upd,
-                   velocity if velocity is not None else {}, config.momentum)
-        losses[kind].append(batch_loss)
-        t += 1
-    mean = {k: (float(np.mean(v)) if v else math.nan) for k, v in losses.items()}
-    return t, mean["labeled"], mean["artificial"]
 
 
 def _open_log(log_path):
@@ -478,10 +417,12 @@ def _log(fh, **record):
 
 
 def train_step1(cloud: PointCloud, train_blocks, val_blocks, config: TrainConfig,
-                scaler: FeatureScaler | None = None,
+                scaler: FeatureScaler | None = None, slicing: tuple | None = None,
                 log_path=None) -> ModelCheckpoint:
     """Train and validate the classifier alone; return the best-validated
-    parameters as a checkpoint."""
+    parameters as a checkpoint. ``scaler`` and ``slicing`` (block side,
+    shift, min_points) describe how the blocks were made and are recorded
+    with the checkpoint."""
     train_blocks = list(train_blocks)
     val_blocks = list(val_blocks)
     if not train_blocks or not val_blocks:
@@ -526,7 +467,8 @@ def train_step1(cloud: PointCloud, train_blocks, val_blocks, config: TrainConfig
         if fh is not None:
             fh.close()
     return ModelCheckpoint(model=best_model, axcrf=None, thetas=None, scaler=scaler,
-                           config=config, best_val_oa=best_oa, iteration=best_iter)
+                           config=config, best_val_oa=best_oa, iteration=best_iter,
+                           slicing=slicing)
 
 
 def select_thetas(model: UnaryModelParams, cloud: PointCloud, val_blocks,
@@ -575,7 +517,7 @@ def generate_artificial_labels(checkpoint: ModelCheckpoint, cloud: PointCloud,
 
 def train_step2(checkpoint: ModelCheckpoint, cloud: PointCloud, train_blocks,
                 artificial: ArtificialLabelSet, val_blocks,
-                config: TrainConfig | None = None, thetas=None,
+                config: TrainConfig | None = None, thetas=None, slicing=None,
                 log_path=None) -> ModelCheckpoint:
     """Retrain against labeled and artificial-label epochs in strict
     alternation; refinement parameters are frozen on artificial epochs.
@@ -583,8 +525,9 @@ def train_step2(checkpoint: ModelCheckpoint, cloud: PointCloud, train_blocks,
     Runs up to ``max(1, config.max_epochs // 2)`` pairs of one labeled and
     one artificial epoch, so ``max_epochs = 1`` still trains two epochs.
     The gradient-step counter restarts at zero, giving the second step a
-    fresh decay trajectory. ``thetas`` must come from the grid search (a
-    ThetaGridResult or a (theta_alpha, theta_beta, theta_gamma) triple).
+    fresh decay trajectory. ``thetas`` is a ThetaGridResult or a
+    (theta_alpha, theta_beta, theta_gamma) triple. The scaler, and the
+    slicing unless ``slicing`` is given, carry over from ``checkpoint``.
     """
     config = config if config is not None else checkpoint.config
     train_blocks = list(train_blocks)
@@ -626,19 +569,12 @@ def train_step2(checkpoint: ModelCheckpoint, cloud: PointCloud, train_blocks,
          lr=learning_rate(config, 0))
     try:
         for pair in range(max(1, config.max_epochs // 2)):
-            if config.alternate_per_batch:
-                t, loss_lab, loss_art = _interleaved_epoch_pair(
-                    model, axcrf, cloud, train_blocks, cloud.labels,
-                    artificial, art_dense, config, pair, t, velocity=velocity)
-            else:
-                t, loss_lab = _run_epoch(model, axcrf, cloud, train_blocks,
-                                         cloud.labels, config, pair, t,
-                                         update_xcrf=True, salt=_SALT_TRAIN,
-                                         velocity=velocity)
-                t, loss_art = _run_epoch(model, axcrf, artificial.cloud,
-                                         artificial.blocks, art_dense, config,
-                                         pair, t, update_xcrf=False, salt=_SALT_ART,
-                                         velocity=velocity)
+            t, loss_lab = _run_epoch(model, axcrf, cloud, train_blocks, cloud.labels,
+                                     config, pair, t, update_xcrf=True,
+                                     salt=_SALT_TRAIN, velocity=velocity)
+            t, loss_art = _run_epoch(model, axcrf, artificial.cloud, artificial.blocks,
+                                     art_dense, config, pair, t, update_xcrf=False,
+                                     salt=_SALT_ART, velocity=velocity)
             if artificial.content_hash() != art_hash:
                 raise RuntimeError("artificial labels changed during step 2")
             val_oa = evaluate_oa(cloud, val_blocks,
@@ -661,7 +597,8 @@ def train_step2(checkpoint: ModelCheckpoint, cloud: PointCloud, train_blocks,
             fh.close()
     return ModelCheckpoint(model=best_model, axcrf=best_axcrf, thetas=(ta, tb, tg),
                            scaler=checkpoint.scaler, config=config,
-                           best_val_oa=best_oa, iteration=best_iter)
+                           best_val_oa=best_oa, iteration=best_iter,
+                           slicing=checkpoint.slicing if slicing is None else slicing)
 
 
 # checkpoint serialization
@@ -687,7 +624,7 @@ _CONFIG_INTS = ("lr_decay_every", "batch_blocks", "patience", "max_epochs",
                 "seed", "n_sample", "C", "K", "C_delta", "hidden", "crf_K", "r")
 _CONFIG_FLOATS = ("lr", "lr_decay", "lr_floor", "dropout_rate", "offset_scale",
                   "momentum")
-_CONFIG_BOOLS = ("shared_levels", "alternate_per_batch")
+_CONFIG_BOOLS = ("shared_levels",)
 _CONFIG_INT_TUPLES = ("block_channels", "block_strides", "D_list")
 _CONFIG_FLOAT_TUPLES = ("theta_alpha_candidates", "theta_beta_candidates",
                         "theta_gamma_candidates")
@@ -703,6 +640,9 @@ def _checkpoint_tensors(ckpt: ModelCheckpoint) -> dict[str, np.ndarray]:
     out["meta.has_thetas"] = np.asarray(0.0 if ckpt.thetas is None else 1.0)
     if ckpt.thetas is not None:
         out["meta.thetas"] = np.asarray([float(x) for x in ckpt.thetas])
+    out["meta.has_slicing"] = np.asarray(0.0 if ckpt.slicing is None else 1.0)
+    if ckpt.slicing is not None:
+        out["meta.slicing"] = np.asarray([float(x) for x in ckpt.slicing])
     cfg = ckpt.config
     for name in _CONFIG_INTS + _CONFIG_FLOATS + _CONFIG_BOOLS:
         out[f"config.{name}"] = np.asarray(float(getattr(cfg, name)))
@@ -710,23 +650,17 @@ def _checkpoint_tensors(ckpt: ModelCheckpoint) -> dict[str, np.ndarray]:
         out[f"config.{name}"] = np.asarray([float(x) for x in getattr(cfg, name)])
     out.update(named_param_arrays(ckpt.model))
     if ckpt.axcrf is not None:
-        if ckpt.axcrf.shared:
-            lv = ckpt.axcrf.levels[0]
-            out["xcrf.shared.bilateral_weight"] = np.asarray(lv.bilateral_weight)
-            out["xcrf.shared.spatial_weight"] = np.asarray(lv.spatial_weight)
-            out["xcrf.shared.compat"] = lv.compat
-        else:
-            for i, lv in enumerate(ckpt.axcrf.levels):
-                out[f"xcrf.level{i}.bilateral_weight"] = np.asarray(lv.bilateral_weight)
-                out[f"xcrf.level{i}.spatial_weight"] = np.asarray(lv.spatial_weight)
-                out[f"xcrf.level{i}.compat"] = lv.compat
+        for prefix, group in ckpt.axcrf.weight_groups():
+            out[f"{prefix}.bilateral_weight"] = np.asarray(group[0].bilateral_weight)
+            out[f"{prefix}.spatial_weight"] = np.asarray(group[0].spatial_weight)
+            out[f"{prefix}.compat"] = group[0].compat
     if ckpt.scaler is not None:
         out["scaler.scale"] = ckpt.scaler.scale
         out["scaler.offset"] = ckpt.scaler.offset
     return out
 
 
-def _encode(tensors: dict[str, np.ndarray], version: int = FORMAT_VERSION) -> bytes:
+def _encode(tensors: dict[str, np.ndarray]) -> bytes:
     payload = bytearray()
     lines = []
     offset = 0
@@ -742,7 +676,7 @@ def _encode(tensors: dict[str, np.ndarray], version: int = FORMAT_VERSION) -> by
         payload += raw
         offset += len(raw)
     manifest = f"{len(lines)}\n" + "".join(line + "\n" for line in lines)
-    return MAGIC + bytes([version]) + manifest.encode("ascii") + bytes(payload)
+    return MAGIC + bytes([FORMAT_VERSION]) + manifest.encode("ascii") + bytes(payload)
 
 
 def _decode(data: bytes) -> dict[str, np.ndarray]:
@@ -861,21 +795,32 @@ def _rebuild(tensors: dict[str, np.ndarray]) -> ModelCheckpoint:
     if int(_scalar(tensors, "meta.has_thetas")):
         thetas = tuple(float(x) for x in _require(tensors, "meta.thetas"))
 
+    slicing = None
+    if int(_scalar(tensors, "meta.has_slicing")):
+        side, shift, min_points = (float(x) for x in _require(tensors, "meta.slicing"))
+        # the chained comparison is false for nan as well
+        if not (0.0 < shift <= side < math.inf and 1 <= min_points == int(min_points)):
+            raise CorruptHeaderError(f"recorded slicing {(side, shift, min_points)} "
+                                     f"is not a block grid")
+        slicing = (side, shift, int(min_points))
+
     axcrf = None
     if int(_scalar(tensors, "meta.has_axcrf")):
         if thetas is None:
             raise CorruptHeaderError("checkpoint has a refinement stack but no thetas")
         ta, tb, tg = thetas
-        levels = []
-        for i, d in enumerate(config.D_list):
-            key = "xcrf.shared" if config.shared_levels else f"xcrf.level{i}"
-            levels.append(XcrfLevelParams(
-                bilateral_weight=_scalar(tensors, f"{key}.bilateral_weight"),
-                spatial_weight=_scalar(tensors, f"{key}.spatial_weight"),
-                compat=_require(tensors, f"{key}.compat").copy(),
-                theta_alpha=ta, theta_beta=tb, theta_gamma=tg,
-                K=config.crf_K, D=d, r=config.r))
-        axcrf = AXcrfParams(levels=levels, shared=config.shared_levels)
+        stack = AXcrfParams.initial(config.C, D_list=config.D_list, K=config.crf_K,
+                                    r=config.r, theta_alpha=ta, theta_beta=tb,
+                                    theta_gamma=tg, shared=config.shared_levels)
+        for prefix, group in stack.weight_groups():
+            for lv in group:
+                lv.bilateral_weight = _scalar(tensors, f"{prefix}.bilateral_weight")
+                lv.spatial_weight = _scalar(tensors, f"{prefix}.spatial_weight")
+                lv.compat = _require(tensors, f"{prefix}.compat").copy()
+        # rebuilt through the constructors, so the loaded values pass the
+        # same square, zero-diagonal and class-count checks as new ones
+        axcrf = AXcrfParams([XcrfLevelParams(**vars(lv)) for lv in stack.levels],
+                            shared=stack.shared)
 
     scaler = None
     if int(_scalar(tensors, "meta.has_scaler")):
@@ -886,7 +831,7 @@ def _rebuild(tensors: dict[str, np.ndarray]) -> ModelCheckpoint:
                            config=config,
                            best_val_oa=_scalar(tensors, "meta.best_val_oa"),
                            iteration=int(_scalar(tensors, "meta.iteration")),
-                           version=FORMAT_VERSION)
+                           slicing=slicing)
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:

@@ -431,6 +431,48 @@ def test_refine_without_thetas_takes_first_candidates(pipeline, trained, tmp_pat
     assert load_checkpoint(tmp_path / "x.ckpt").thetas == (2.0, 0.25, 4.0)
 
 
+def test_labels_and_predict_default_to_the_recorded_slicing(pipeline, trained,
+                                                            tmp_path):
+    # train ran with --block 60 --shift 30 --min-points 16, and both
+    # checkpoints record that grid: no block flags give the flagged outputs
+    assert dispatch(["labels", "--input", str(pipeline / "unlabeled.txt"),
+                     "--out", str(tmp_path / "art.txt"), "--model", str(trained)]) == 0
+    assert (tmp_path / "art.txt").read_bytes() == (pipeline / "art.txt").read_bytes()
+    assert dispatch(["predict", "--input", str(pipeline / "unlabeled.txt"),
+                     "--out", str(tmp_path / "pred.txt"),
+                     "--model", str(pipeline / "step2.ckpt")]) == 0
+    assert (tmp_path / "pred.txt").read_bytes() == (pipeline / "pred.txt").read_bytes()
+
+
+def test_slicing_precedence():
+    from argparse import Namespace
+    from types import SimpleNamespace
+    from axcrf.cli import _slicing
+    ckpt = SimpleNamespace(slicing=(60.0, 30.0, 16))
+    unset = dict(block=None, shift=None, min_points=None)
+    assert _slicing(Namespace(**unset), {}) == (25.0, 12.5, 64)
+    assert _slicing(Namespace(**unset), {}, ckpt) == (60.0, 30.0, 16)
+    assert _slicing(Namespace(**unset), {}, ckpt, min_points=1) == (60.0, 30.0, 1)
+    # a side given without a shift shifts by half of it, not by the recorded shift
+    assert _slicing(Namespace(**{**unset, "block": 50.0}), {}, ckpt) == (50.0, 25.0, 16)
+    assert _slicing(Namespace(**unset), {"block": 40.0}, ckpt) == (40.0, 20.0, 16)
+    assert _slicing(Namespace(**{**unset, "shift": 20.0, "min_points": 8}), {}, ckpt,
+                    min_points=1) == (60.0, 20.0, 8)
+
+
+def test_config_key_lists_match_train_config_fields():
+    # cli cannot import training at load time (--threads must act before
+    # numpy loads), so this keeps its key list and the checkpoint's config
+    # tensors in step with TrainConfig
+    import dataclasses
+    from axcrf import cli, training
+    fields = sorted(f.name for f in dataclasses.fields(training.TrainConfig))
+    assert sorted(cli._TRAIN_KEYS) == fields
+    assert sorted(training._CONFIG_INTS + training._CONFIG_FLOATS
+                  + training._CONFIG_BOOLS + training._CONFIG_INT_TUPLES
+                  + training._CONFIG_FLOAT_TUPLES) == fields
+
+
 def test_predict_non_scalar_config_is_data_error(pipeline, tmp_path, capsys):
     from axcrf import training
     tensors = training._checkpoint_tensors(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axcrf.autograd import Tape, backward
-from axcrf.crf import (AXcrfParams, XcrfLevelParams, axcrf_forward,
+from axcrf.crf import (AXcrfParams, XcrfLevelParams, axcrf_forward, axcrf_graph,
                        gaussian_filters, grid_search_thetas, predict,
                        xcrf_forward, xcrf_graph)
 from axcrf.neighbors import NeighborIndex, atrous_gather_all
@@ -268,6 +268,22 @@ def test_stack_is_sum_of_levels():
                 + xcrf_forward(U, pos, feat, lv2, index))
         np.testing.assert_allclose(axcrf_forward(U, pos, feat, stack, index),
                                    want, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("shared, prefixes", [
+    (False, ["xcrf.level0", "xcrf.level1", "xcrf.level2"]),
+    (True, ["xcrf.shared"])])
+def test_weight_groups_name_the_bound_leaves(shared, prefixes):
+    U, pos, feat, *_ = random_instance(np.random.default_rng(9), n=24)
+    stack = AXcrfParams.initial(U.shape[1], D_list=(1, 2, 3), K=3, r=1, shared=shared)
+    groups = stack.weight_groups()
+    assert [prefix for prefix, _ in groups] == prefixes
+    members = [lv for _, group in groups for lv in group]
+    assert len(members) == 3 and all(a is b for a, b in zip(members, stack.levels))
+    tape = Tape()
+    _, binds = axcrf_graph(tape, tape.leaf(U), pos, feat, stack, NeighborIndex(pos))
+    assert list(binds) == [f"{prefix}.{name}" for prefix in prefixes
+                           for name in ("bilateral_weight", "spatial_weight", "compat")]
 
 
 # -- structural invariants --------------------------------------------------------

@@ -461,6 +461,37 @@ def test_checkpoint_version_mismatch(tmp_path, step1_run):
         load_checkpoint(path)
 
 
+def test_checkpoint_format_1_is_a_version_mismatch(tmp_path, step1_run):
+    # format 2 records the slicing and drops the per-batch alternation flag
+    raw = bytearray(training._encode(training._checkpoint_tensors(step1_run.ckpt)))
+    raw[5] = 1
+    path = tmp_path / "format1.ckpt"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(VersionMismatchError, match="version 1;"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_records_slicing(step2_run, tmp_path):
+    s = step2_run
+    # step 2 carries the slicing of the checkpoint it starts from
+    ck1 = dataclasses.replace(s.ckpt, slicing=(60.0, 30.0, 16))
+    ck2 = train_step2(ck1, s.cloud, s.train_blocks, s.art, s.val_blocks,
+                      config=dataclasses.replace(s.config, max_epochs=2),
+                      thetas=(1.0, 0.1, 1.0))
+    assert ck2.slicing == (60.0, 30.0, 16)
+    path = tmp_path / "s2.ckpt"
+    save_checkpoint(ck2, path)
+    back = load_checkpoint(path)
+    assert back.slicing == (60.0, 30.0, 16) and type(back.slicing[2]) is int
+    for bad in ([60.0, 70.0, 16.0], [60.0, 0.0, 16.0], [math.inf, 30.0, 16.0],
+                [60.0, 30.0, 0.0], [60.0, 30.0, 1.5], [60.0, 30.0, math.nan]):
+        tensors = training._checkpoint_tensors(ck2)
+        tensors["meta.slicing"] = np.array(bad)
+        path.write_bytes(training._encode(tensors))
+        with pytest.raises(CorruptHeaderError, match="slicing"):
+            load_checkpoint(path)
+
+
 def test_checkpoint_non_scalar_config_field_is_corrupt(tmp_path, step1_run):
     tensors = training._checkpoint_tensors(step1_run.ckpt)
     tensors["config.C"] = np.array([3.0, 3.0])     # consistent shape, wrong rank
@@ -475,7 +506,7 @@ def test_checkpoint_manifest_fuzz(tmp_path, step2_run):
     # manifest byte (so every field of every line), must raise a
     # CheckpointError or load the very same model; nothing else may escape
     ckpt = dataclasses.replace(step2_run.ck2, scaler=FeatureScaler(
-        np.array([1.0, 2.0]), np.array([0.0, -0.5])))
+        np.array([1.0, 2.0]), np.array([0.0, -0.5])), slicing=(60.0, 30.0, 16))
     raw = training._encode(training._checkpoint_tensors(ckpt))
     count = int(raw[6:raw.index(b"\n", 6)])
     end = 6
