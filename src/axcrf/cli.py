@@ -292,7 +292,8 @@ def _slicing(args, file_config, ckpt=None, min_points=None):
 
 def _split_labeled(args, file_config, C, missing_label, ckpt=None):
     """Load the labeled --input and tile-split it into sliced train and
-    validation parts; returns (split, slicing)."""
+    validation parts, normalized with ``ckpt``'s scaler when it has one;
+    returns (split, slicing)."""
     from .pointcloud import split_and_slice
 
     cmap = _resolve_columns(args, file_config, labeled=True, path=args.input)
@@ -310,7 +311,8 @@ def _split_labeled(args, file_config, C, missing_label, ckpt=None):
     split = split_and_slice(cloud, tile_side=tile,
                             fractions=(1.0 - val_fraction, val_fraction),
                             seed=int(_merged(args, file_config, "seed", 0)),
-                            side=side, shift=shift, min_points=min_points)
+                            side=side, shift=shift, min_points=min_points,
+                            scaler=None if ckpt is None else ckpt.scaler)
     if not split.train_blocks or not split.val_blocks:
         raise CliError("block slicing left an empty train or validation set; "
                        "lower --min-points or use larger partitions")
@@ -451,7 +453,7 @@ def _cmd_refine(args, file_config):
 def _cmd_predict(args, file_config):
     import numpy as np
     from .pointcloud import slice_blocks, write_labels
-    from .training import _SALT_PREDICT, coverage_vote_predict, pipeline_forward
+    from .training import _SALT_PREDICT, pipeline_vote
     ckpt = _load_ckpt(args.model)
     cloud = _load_unlabeled(args.input, args, file_config, ckpt)
     # every input line must receive a label, so sparse blocks are kept
@@ -459,10 +461,9 @@ def _cmd_predict(args, file_config):
     blocks = slice_blocks(cloud, side=side, shift=shift, min_points=min_points)
     if not blocks:
         raise CliError("no blocks to predict on")
-    pi, labels, passes = coverage_vote_predict(
-        cloud, blocks,
-        lambda p, f: pipeline_forward(ckpt.model, ckpt.axcrf, p, f),
-        ckpt.config.n_sample, ckpt.config.seed, salt=_SALT_PREDICT)
+    pi, labels, passes = pipeline_vote(cloud, blocks, ckpt.model, ckpt.axcrf,
+                                       ckpt.config.n_sample, ckpt.config.seed,
+                                       salt=_SALT_PREDICT)
     dense = np.full(cloud.n_points, -1, dtype=np.int64)
     dense[pi] = labels
     if np.any(dense < 0):

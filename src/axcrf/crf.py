@@ -273,8 +273,7 @@ def xcrf_forward(U: np.ndarray, positions: np.ndarray, features: np.ndarray,
 
 def axcrf_graph(tape: Tape, U: Tensor, positions: np.ndarray, features: np.ndarray,
                 params: AXcrfParams, index: NeighborIndex,
-                sorted_idx: np.ndarray | None = None,
-                sorted_dist: np.ndarray | None = None) -> tuple[Tensor, dict[str, Tensor]]:
+                sorted_idx: np.ndarray | None = None) -> tuple[Tensor, dict[str, Tensor]]:
     """Record the full multi-stride stack; returns (summed unaries, bindings).
 
     Every level consumes the same input unaries (parallel composition) and
@@ -282,14 +281,14 @@ def axcrf_graph(tape: Tape, U: Tensor, positions: np.ndarray, features: np.ndarr
     their leaf tensors so a trainer can read gradients after backward.
 
     All strides come from one sorted-neighbor pass at
-    ``params.max_neighbor_rank``. Pass ``sorted_idx``/``sorted_dist`` from a
-    deeper ``index.nearest_others_all`` to share one sort with the unary
+    ``params.max_neighbor_rank``. Pass ``sorted_idx`` from a deeper
+    ``index.nearest_others_all`` to share one sort with the unary
     classifier; its leading columns equal a shallower query bit for bit.
     """
     positions = np.asarray(positions, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     if sorted_idx is None:
-        sorted_idx, sorted_dist = index.nearest_others_all(params.max_neighbor_rank)
+        sorted_idx = index.nearest_others_all(params.max_neighbor_rank)[0]
     bindings: dict[str, Tensor] = {}
     total = None
     for prefix, group in params.weight_groups():
@@ -301,7 +300,7 @@ def axcrf_graph(tape: Tape, U: Tensor, positions: np.ndarray, features: np.ndarr
         bindings[f"{prefix}.compat"] = compat_t
         for lv in group:
             nbr_idx, _ = atrous_gather_all(index, lv.K, lv.D,
-                                           sorted_idx=sorted_idx, sorted_dist=sorted_dist)
+                                           sorted_idx=sorted_idx)
             filters = _filters(*_pair_d2(positions, features, nbr_idx), lv)
             out = xcrf_graph(tape, U, filters.B_f, filters.S_f, nbr_idx,
                              wb_t, ws_t, compat_t, lv.r)
@@ -311,15 +310,14 @@ def axcrf_graph(tape: Tape, U: Tensor, positions: np.ndarray, features: np.ndarr
 
 def axcrf_forward(U: np.ndarray, positions: np.ndarray, features: np.ndarray,
                   params: AXcrfParams, index: NeighborIndex,
-                  sorted_idx: np.ndarray | None = None,
-                  sorted_dist: np.ndarray | None = None) -> np.ndarray:
+                  sorted_idx: np.ndarray | None = None) -> np.ndarray:
     """Full stack in inference mode: sum of per-level refinements of U."""
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2 or U.shape[1] != params.n_classes:
         raise ValueError(f"unaries shape {U.shape} does not match {params.n_classes} classes")
     tape = Tape()
     out, _ = axcrf_graph(tape, tape.leaf(U), positions, features, params, index,
-                         sorted_idx=sorted_idx, sorted_dist=sorted_dist)
+                         sorted_idx=sorted_idx)
     return out.values.copy()
 
 

@@ -17,9 +17,9 @@ from . import _keep_freed_arrays
 from .metrics import confusion_matrix, scores, format_report
 from .model import unary_forward
 from .pointcloud import PointCloud, generate_synthetic, split_and_slice, write_labels
-from .training import (TrainConfig, coverage_vote_predict, evaluate_oa,
-                       generate_artificial_labels, pipeline_forward,
-                       save_checkpoint, select_thetas, train_step1, train_step2)
+from .training import (TrainConfig, evaluate_oa, generate_artificial_labels,
+                       pipeline_vote, save_checkpoint, select_thetas,
+                       train_step1, train_step2)
 
 _SALT_TEST = 808      # one salt for both test evaluations: identical samples,
                       # identical votes, so the step-2 vs step-1 comparison
@@ -157,10 +157,8 @@ def run_synthetic_experiment(config: ExperimentConfig | None = None,
     say(f"step2 best val OA {step2.best_val_oa:.4f} ({t_step2:.0f}s)")
 
     t6 = time.time()
-    pi, pred_labels, _ = coverage_vote_predict(
-        test_c, test_blocks,
-        lambda p, f: pipeline_forward(step2.model, step2.axcrf, p, f),
-        cfg.n_sample, cfg.seed, salt=_SALT_TEST)
+    pi, pred_labels, _ = pipeline_vote(test_c, test_blocks, step2.model, step2.axcrf,
+                                       cfg.n_sample, cfg.seed, salt=_SALT_TEST)
     cm = confusion_matrix(pred_labels, test_c.labels[pi], cfg.n_classes)
     report = scores(cm)
     step2_test_oa = report.overall_accuracy

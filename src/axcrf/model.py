@@ -251,16 +251,16 @@ def xconv_graph(tape: Tape, offsets: np.ndarray, nbr_idx: np.ndarray,
 def unary_graph(tape: Tape, positions: np.ndarray, features: np.ndarray,
                 params: UnaryModelParams, training: bool = False,
                 dropout_rng: np.random.Generator | None = None,
-                index=None, sorted_idx: np.ndarray | None = None,
-                sorted_dist: np.ndarray | None = None) -> tuple[Tensor, dict[str, Tensor]]:
+                index=None,
+                sorted_idx: np.ndarray | None = None) -> tuple[Tensor, dict[str, Tensor]]:
     """Record the full classifier; returns (logits tensor, parameter bindings).
 
     Neighborhoods are gathered over the sampled points themselves, one
     stride per block, all strides sharing a single sorted-neighbor pass at
-    ``params.max_neighbor_rank``. Pass ``sorted_idx``/``sorted_dist`` from a
-    deeper ``index.nearest_others_all`` to share one sort with the
-    refinement stack; its leading columns equal a shallower query bit for
-    bit, as lists are sorted by (distance, index).
+    ``params.max_neighbor_rank``. Pass ``sorted_idx`` from a deeper
+    ``index.nearest_others_all`` to share one sort with the refinement
+    stack; its leading columns equal a shallower query bit for bit, as lists
+    are sorted by (distance, index).
     """
     positions = np.asarray(positions, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
@@ -273,13 +273,13 @@ def unary_graph(tape: Tape, positions: np.ndarray, features: np.ndarray,
     if index is None:
         index = build_index(positions)
     if sorted_idx is None:
-        sorted_idx, sorted_dist = index.nearest_others_all(params.max_neighbor_rank)
+        sorted_idx = index.nearest_others_all(params.max_neighbor_rank)[0]
 
     bindings: dict[str, Tensor] = {}
     feat_t = tape.leaf(features)
     for bi, block in enumerate(params.blocks):
         nbr_idx, _ = atrous_gather_all(index, block.K, block.D,
-                                       sorted_idx=sorted_idx, sorted_dist=sorted_dist)
+                                       sorted_idx=sorted_idx)
         offsets = positions.take(nbr_idx, axis=0) - positions[:, None, :]
         feat_t = xconv_graph(tape, offsets, nbr_idx, feat_t, block, bindings, f"unary.block{bi}")
 
@@ -295,13 +295,12 @@ def unary_graph(tape: Tape, positions: np.ndarray, features: np.ndarray,
 def unary_forward(positions: np.ndarray, features: np.ndarray,
                   params: UnaryModelParams, training: bool = False,
                   dropout_rng: np.random.Generator | None = None,
-                  index=None, sorted_idx: np.ndarray | None = None,
-                  sorted_dist: np.ndarray | None = None) -> np.ndarray:
+                  index=None, sorted_idx: np.ndarray | None = None) -> np.ndarray:
     """Inference-style forward: N x C logits as plain values."""
     tape = Tape()
     logits, _ = unary_graph(tape, positions, features, params, training=training,
                             dropout_rng=dropout_rng, index=index,
-                            sorted_idx=sorted_idx, sorted_dist=sorted_dist)
+                            sorted_idx=sorted_idx)
     return logits.values.copy()
 
 

@@ -166,7 +166,8 @@ def atrous_gather_all(index: NeighborIndex, K: int, D: int,
 
     Returns (M x K indices, M x K distances). Pass precomputed sorted
     neighbor lists (from ``nearest_others_all``) to share one sort across
-    several strides; they must cover at least min(K*D, M-1) ranks.
+    several strides; they must cover at least min(K*D, M-1) ranks. Given
+    ``sorted_idx`` alone, the returned distances are None.
     """
     if K < 1 or D < 1:
         raise ValueError(f"K and D must be >= 1, got K={K}, D={D}")
@@ -182,5 +183,7 @@ def atrous_gather_all(index: NeighborIndex, K: int, D: int,
     if avail < need:
         reps = -(-need // avail)
         sorted_idx = np.tile(sorted_idx, (1, reps))[:, :need]
-        sorted_dist = np.tile(sorted_dist, (1, reps))[:, :need]
-    return sorted_idx[:, D - 1:need:D].copy(), sorted_dist[:, D - 1:need:D].copy()
+        if sorted_dist is not None:
+            sorted_dist = np.tile(sorted_dist, (1, reps))[:, :need]
+    return (sorted_idx[:, D - 1:need:D].copy(),
+            None if sorted_dist is None else sorted_dist[:, D - 1:need:D].copy())

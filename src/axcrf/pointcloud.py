@@ -306,22 +306,26 @@ class TileSplit:
     n_train: int               # points of the train part at the front of labeled
     train_blocks: list[Block]
     val_blocks: list[Block]    # member indices into labeled
-    scaler: FeatureScaler      # fit on the train part, applied to every part
+    scaler: FeatureScaler      # given, or fit on the train part; applied to every part
     held_out: list[tuple[PointCloud, list[Block]]]   # parts after the second
 
 
 def split_and_slice(cloud: PointCloud, tile_side: float,
                     fractions: tuple[float, ...], seed: int, side: float,
-                    shift: float, min_points: int) -> TileSplit:
+                    shift: float, min_points: int,
+                    scaler: FeatureScaler | None = None) -> TileSplit:
     """Tile-split the cloud by ``fractions`` (train, validation, then any
-    held-out parts), normalize every part with the scaler fit on the train
-    part, slice every part, and merge train and validation into one labeled
-    cloud whose validation blocks index past the train points."""
+    held-out parts), normalize every part with ``scaler``, else with one fit
+    on the train part, slice every part, and merge train and validation into
+    one labeled cloud whose validation blocks index past the train points."""
     if len(fractions) < 2:
         raise ValueError(f"need train and validation fractions, got {fractions}")
     train, *rest = split_by_tiles(cloud, tile_side=tile_side,
                                   fractions=fractions, seed=seed)
-    train, scaler = normalize_features(train)
+    if scaler is None:
+        train, scaler = normalize_features(train)
+    else:
+        train = scaler.apply(train)
     parts = [train] + [scaler.apply(p) for p in rest]
     blocks = [slice_blocks(p, side=side, shift=shift, min_points=min_points)
               for p in parts]

@@ -20,9 +20,14 @@ reconstructing; either way loading raises a ``CheckpointError``.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import math
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, field, fields as dataclass_fields, asdict
 from pathlib import Path
 
@@ -42,7 +47,7 @@ __all__ = [
     "TrainConfig", "ModelCheckpoint", "ArtificialLabelSet", "EarlyStopper",
     "learning_rate", "train_step1", "select_thetas", "train_step2",
     "generate_artificial_labels", "save_checkpoint", "load_checkpoint",
-    "checkpoint_id", "pipeline_forward",
+    "checkpoint_id", "pipeline_forward", "pipeline_vote",
     "coverage_vote_predict", "evaluate_oa", "NumericError",
     "CheckpointError", "CorruptHeaderError", "TruncatedPayloadError",
     "VersionMismatchError", "MAGIC", "FORMAT_VERSION",
@@ -215,27 +220,195 @@ class ArtificialLabelSet:
         return h.hexdigest()
 
 
-def _shared_sort(model, axcrf, positions):
-    """(index, sorted_idx, sorted_dist): one neighbor sort at the deepest
-    rank that the classifier and, when attached, the stack read."""
+def _sort_rank(model, axcrf) -> int:
+    """The deepest neighbor rank that the classifier and, when attached,
+    the stack read."""
+    if axcrf is None:
+        return model.max_neighbor_rank
+    return max(model.max_neighbor_rank, axcrf.max_neighbor_rank)
+
+
+def _shared_sort(rank: int, positions: np.ndarray) -> np.ndarray:
+    """Sorted neighbor indices at ``rank``: the one sort that every stride
+    of the classifier and the stack reads. No consumer reads its distances."""
+    return build_index(positions).nearest_others_all(rank)[0]
+
+
+def _forward(model, axcrf, positions, features, sorted_idx):
+    """``pipeline_forward`` over a sort already made."""
     index = build_index(positions)
-    rank = model.max_neighbor_rank
-    if axcrf is not None:
-        rank = max(rank, axcrf.max_neighbor_rank)
-    return (index, *index.nearest_others_all(rank))
+    U = unary_forward(positions, features, model, index=index, sorted_idx=sorted_idx)
+    if axcrf is None:
+        return U
+    return axcrf_forward(U, positions, features, axcrf, index, sorted_idx=sorted_idx)
 
 
 def pipeline_forward(model: UnaryModelParams, axcrf: AXcrfParams | None,
                      positions: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Eval-mode forward of the deliverable classifier: unary potentials,
     refined by the stack when one is attached."""
-    index, si, sd = _shared_sort(model, axcrf, positions)
-    U = unary_forward(positions, features, model, index=index, sorted_idx=si,
-                      sorted_dist=sd)
-    if axcrf is None:
-        return U
-    return axcrf_forward(U, positions, features, axcrf, index, sorted_idx=si,
-                         sorted_dist=sd)
+    return _forward(model, axcrf, positions, features,
+                    _shared_sort(_sort_rank(model, axcrf), positions))
+
+
+# False runs each helper request in-process when it is submitted: the
+# reference that the forked helper must match bit for bit
+_FORK = hasattr(os, "fork")
+
+
+def _write_frame(fh, obj) -> None:
+    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    fh.write(len(data).to_bytes(8, "little"))
+    fh.write(data)
+    fh.flush()
+
+
+def _read_frame(fh):
+    """The next pickled object, or None at end of file."""
+    header = fh.read(8)
+    if len(header) < 8:
+        return None
+    n = int.from_bytes(header, "little")
+    data = fh.read(n)
+    if len(data) < n:
+        return None
+    return pickle.loads(data)
+
+
+class _Helper:
+    """A second process that serves requests in order: neighbor sorts, and
+    the odd passes of a coverage vote over ``cloud`` and ``passes``.
+
+    It is forked when the ``with`` block is entered, after the caller's
+    cloud and passes exist, so it reads them from its copy of memory; a
+    request carries positions or a snapshot of the weights, a reply sorted
+    indices or class predictions. Both travel pickled behind an 8-byte
+    length over one pipe each. Leaving the block joins the helper, and
+    leaving it by an exception kills it first. The helper ends at end of
+    file on its request pipe, so it also ends when the caller dies, and it
+    leaves by ``os._exit``, never returning into the caller's stack. An
+    exception raised in the helper is raised again by ``result``. Without
+    ``os.fork`` (or with ``_FORK`` off) each request runs in-process when
+    submitted, in the same order.
+
+    A request is only sent once the reply to the one before it has been
+    read, so the helper is never blocked writing a reply while the caller
+    is blocked writing a request, whatever their sizes.
+    """
+
+    def __init__(self, cloud: PointCloud | None = None, passes=()):
+        self.cloud = cloud
+        self.passes = passes
+        self.kept: dict = {}        # pass number -> sorted indices, helper side
+        self.pid = None
+        self._pending = False
+        self._inline = collections.deque()
+
+    def __enter__(self):
+        if _FORK:
+            self._fork()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.pid is None:
+            return
+        pid, self.pid = self.pid, None
+        # closing the reply pipe first turns a helper blocked on a write
+        # into a broken pipe; closing the request pipe ends one that waits
+        self._replies.close()
+        self._requests.close()
+        if exc_type is not None:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+    def _fork(self):
+        req_r, req_w = os.pipe()
+        rep_r, rep_w = os.pipe()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (req_r, req_w, rep_r, rep_w):
+                os.close(fd)
+            return
+        if pid == 0:
+            code = 1
+            try:
+                os.close(req_w)
+                os.close(rep_r)
+                self._serve_forever(os.fdopen(req_r, "rb"), os.fdopen(rep_w, "wb"))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(req_r)
+        os.close(rep_w)
+        self.pid = pid
+        self._requests = os.fdopen(req_w, "wb")
+        self._replies = os.fdopen(rep_r, "rb")
+
+    def _serve_forever(self, requests, replies):
+        """The helper's loop, until end of file on ``requests``."""
+        while (request := _read_frame(requests)) is not None:
+            ok, value = reply = self._serve(request)
+            if not ok:
+                # a pickled exception loses its traceback; one that does not
+                # pickle arrives as a RuntimeError with the text
+                import traceback
+                text = "".join(traceback.format_exception(value))
+                try:
+                    pickle.dumps(value)
+                except Exception:
+                    reply = (False, RuntimeError(text))
+                if hasattr(value, "add_note"):
+                    value.add_note(f"raised in the helper process:\n{text}")
+            _write_frame(replies, reply)
+
+    def _serve(self, request):
+        """(True, result) or (False, the exception the request raised)."""
+        kind, *args = request
+        try:
+            if kind == "sort":
+                return True, _shared_sort(*args)
+            model, axcrf, keep = args
+            return True, _pass_preds(self.cloud, self.passes, 1, model, axcrf,
+                                     self.kept if keep else None)
+        except Exception as exc:
+            return False, exc
+
+    def submit(self, *request) -> None:
+        if self._pending:
+            raise RuntimeError("read the helper's reply before the next request")
+        self._pending = True
+        if self.pid is None:
+            self._inline.append(self._serve(request))
+        else:
+            _write_frame(self._requests, request)
+
+    def result(self):
+        """The reply to the request last submitted."""
+        self._pending = False
+        if self.pid is None:
+            reply = self._inline.popleft()
+        elif (reply := _read_frame(self._replies)) is None:
+            raise RuntimeError("the helper process ended without replying")
+        ok, value = reply
+        if not ok:
+            raise value
+        return value
+
+    def sorts(self, positions: list, rank: int):
+        """Sorted neighbor indices at ``rank`` of each array in
+        ``positions``, in order; the helper sorts each array while the
+        caller works on the one before it."""
+        if positions:
+            self.submit("sort", rank, positions[0])
+        for i in range(len(positions)):
+            sorted_idx = self.result()
+            if i + 1 < len(positions):
+                self.submit("sort", rank, positions[i + 1])
+            yield sorted_idx
 
 
 def _coverage_passes(cloud: PointCloud, blocks, n_sample: int, global_seed: int,
@@ -264,14 +437,14 @@ def _coverage_passes(cloud: PointCloud, blocks, n_sample: int, global_seed: int,
     return passes
 
 
-def _vote(cloud: PointCloud, passes, logits) -> tuple[np.ndarray, np.ndarray]:
-    """One vote per (pass, point) from each pass's logits, in pass order;
-    majority wins, ties to the lowest class. Returns (point indices, labels)
-    over the covered points, which are exactly the blocks' members."""
+def _vote(cloud: PointCloud, passes, preds) -> tuple[np.ndarray, np.ndarray]:
+    """One vote per (pass, point) from each pass's class predictions, in
+    pass order; majority wins, ties to the lowest class. Returns (point
+    indices, labels) over the covered points, which are exactly the
+    blocks' members."""
     votes = np.zeros((cloud.n_points, cloud.C), dtype=np.int64)
     covered = np.zeros(cloud.n_points, dtype=bool)
-    for idx, U in zip(passes, logits, strict=True):
-        pred = predict(U)
+    for idx, pred in zip(passes, preds, strict=True):
         uniq, first = np.unique(idx, return_index=True)
         votes[uniq, pred[first]] += 1
         covered[uniq] = True
@@ -285,9 +458,54 @@ def coverage_vote_predict(cloud: PointCloud, blocks, forward_fn, n_sample: int,
     predicted at least once; one vote per (pass, point), majority wins,
     ties to the lowest class. Returns (point indices, labels, passes)."""
     passes = _coverage_passes(cloud, blocks, n_sample, global_seed, salt)
-    logits = (forward_fn(cloud.positions[idx], cloud.features[idx]) for idx in passes)
-    point_indices, labels = _vote(cloud, passes, logits)
+    preds = (predict(forward_fn(cloud.positions[idx], cloud.features[idx]))
+             for idx in passes)
+    point_indices, labels = _vote(cloud, passes, preds)
     return point_indices, labels, len(passes)
+
+
+def pipeline_vote(cloud: PointCloud, blocks, model: UnaryModelParams,
+                  axcrf: AXcrfParams | None, n_sample: int, global_seed: int,
+                  salt: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``coverage_vote_predict`` with ``pipeline_forward``, bit for bit: a
+    helper process sorts each pass ahead while this one forwards them."""
+    passes = _coverage_passes(cloud, blocks, n_sample, global_seed, salt)
+    with _Helper() as helper:
+        sorts = helper.sorts([cloud.positions[idx] for idx in passes],
+                             _sort_rank(model, axcrf))
+        preds = [predict(_forward(model, axcrf, cloud.positions[idx],
+                                  cloud.features[idx], sorted_idx))
+                 for idx, sorted_idx in zip(passes, sorts)]
+    point_indices, labels = _vote(cloud, passes, preds)
+    return point_indices, labels, len(passes)
+
+
+def _pass_preds(cloud, passes, start, model, axcrf, kept=None) -> list:
+    """Class predictions of every second pass from ``start`` on. ``kept``,
+    when given, holds each pass's sorted indices from one call to the next."""
+    rank = _sort_rank(model, axcrf)
+    preds = []
+    for p in range(start, len(passes), 2):
+        pos = cloud.positions[passes[p]]
+        if kept is None:
+            sorted_idx = _shared_sort(rank, pos)
+        elif (sorted_idx := kept.get(p)) is None:
+            sorted_idx = kept[p] = _shared_sort(rank, pos)
+        preds.append(predict(_forward(model, axcrf, pos, cloud.features[passes[p]],
+                                      sorted_idx)))
+    return preds
+
+
+def _split_vote_oa(helper: _Helper, model, axcrf, kept=None) -> float:
+    """Coverage-vote accuracy over the helper's cloud and passes: even
+    passes here, odd ones in the helper with a snapshot of the weights,
+    merged in pass order. ``kept`` holds this side's sorts between calls,
+    and the helper then keeps its own."""
+    helper.submit("vote", model, axcrf, kept is not None)
+    preds = [None] * len(helper.passes)
+    preds[0::2] = _pass_preds(helper.cloud, helper.passes, 0, model, axcrf, kept)
+    preds[1::2] = helper.result()
+    return _accuracy(helper.cloud, *_vote(helper.cloud, helper.passes, preds))
 
 
 def _accuracy(cloud: PointCloud, point_indices: np.ndarray, labels: np.ndarray) -> float:
@@ -306,26 +524,25 @@ def evaluate_oa(cloud: PointCloud, blocks, forward_fn, n_sample: int,
     return _accuracy(cloud, pi, lab)
 
 
-def _block_grads(model, axcrf, cloud, block, labels_dense, config,
-                 sample_seed, dropout_rng):
-    """Forward + backward over one sampled block.
+def _block_grads(model, axcrf, cloud, block, idx, sorted_idx, labels_dense,
+                 dropout_rng):
+    """Forward + backward over one sampled block, given the sample's
+    indices into ``cloud`` and its sorted neighbor indices.
     Returns (grads by name, loss, point count)."""
-    s = sample_block(block, config.n_sample, sample_seed)
-    idx = s.sample_indices
     pos = cloud.positions[idx]
     feat = cloud.features[idx]
     lab = labels_dense[idx]
     if lab.min() < 0:
         raise ValueError("sampled a point with no label; artificial labels "
                          "must cover every block member")
-    index, si, sd = _shared_sort(model, axcrf, pos)
+    index = build_index(pos)
     tape = Tape()
     out, binds = unary_graph(tape, pos, feat, model, training=True,
                              dropout_rng=dropout_rng, index=index,
-                             sorted_idx=si, sorted_dist=sd)
+                             sorted_idx=sorted_idx)
     if axcrf is not None:
         out, xbinds = axcrf_graph(tape, out, pos, feat, axcrf, index,
-                                  sorted_idx=si, sorted_dist=sd)
+                                  sorted_idx=sorted_idx)
         binds = {**binds, **xbinds}
     loss = cross_entropy_graph(tape, out, lab)
     if not math.isfinite(float(loss.values)):
@@ -369,23 +586,28 @@ def _apply_sgd(model, axcrf, grads, lr, update_xcrf, velocity, momentum):
 
 
 def _run_epoch(model, axcrf, cloud, blocks, labels_dense, config, epoch, t,
-               update_xcrf, salt, velocity):
+               update_xcrf, salt, velocity, helper):
     """One shuffled pass over the blocks in batches of config.batch_blocks;
-    gradients averaged over all points of a batch. Returns (t, mean loss)."""
+    gradients averaged over all points of a batch. The samples depend only
+    on the seed, the block, the salt and the epoch, so all are drawn up
+    front and ``helper`` sorts them ahead. Returns (t, mean loss)."""
     order_rng = np.random.default_rng([config.seed, _SALT_ORDER, salt, epoch])
-    order = order_rng.permutation(len(blocks))
+    order = [blocks[int(bi)] for bi in order_rng.permutation(len(blocks))]
+    seeds = [block_seed(config.seed, block, salt=salt * 1_000_003 + epoch)
+             for block in order]
+    samples = [sample_block(block, config.n_sample, sseed).sample_indices
+               for block, sseed in zip(order, seeds)]
+    sorts = helper.sorts([cloud.positions[idx] for idx in samples],
+                         _sort_rank(model, axcrf))
     loss_sum = 0.0
     n_batches = 0
     for start in range(0, len(order), config.batch_blocks):
-        chunk = order[start:start + config.batch_blocks]
         lr = learning_rate(config, t)
         per = []
-        for bi in chunk:
-            block = blocks[int(bi)]
-            sseed = block_seed(config.seed, block, salt=salt * 1_000_003 + epoch)
-            drng = np.random.default_rng([sseed, _SALT_DROPOUT])
-            per.append(_block_grads(model, axcrf, cloud, block, labels_dense,
-                                    config, sseed, drng))
+        for k in range(start, min(start + config.batch_blocks, len(order))):
+            drng = np.random.default_rng([seeds[k], _SALT_DROPOUT])
+            per.append(_block_grads(model, axcrf, cloud, order[k], samples[k],
+                                    next(sorts), labels_dense, drng))
         total_pts = sum(p[2] for p in per)
         agg: dict[str, np.ndarray] = {}
         batch_loss = 0.0
@@ -435,37 +657,37 @@ def train_step1(cloud: PointCloud, train_blocks, val_blocks, config: TrainConfig
                              hidden=config.hidden, dropout_rate=config.dropout_rate,
                              offset_scale=config.offset_scale)
     # the validation passes do not depend on the epoch and the neighbor rank
-    # is fixed for the run, so each pass is sampled and sorted once
+    # is fixed for the run, so each pass is sampled once and sorted once, by
+    # the process that forwards it
     val_passes = _coverage_passes(cloud, val_blocks, config.n_sample, config.seed,
                                   _SALT_VAL)
-    val_sorts = [_shared_sort(model, None, cloud.positions[idx]) for idx in val_passes]
+    val_sorts: dict = {}
     stopper = EarlyStopper(config.patience)
     best_oa = -math.inf
     best_model = model.copy()
     best_iter = 0
     t = 0
     velocity: dict = {}
-    fh = _open_log(log_path)
-    try:
-        for epoch in range(config.max_epochs):
-            t, mean_loss = _run_epoch(model, None, cloud, train_blocks, cloud.labels,
-                                      config, epoch, t, update_xcrf=False,
-                                      salt=_SALT_TRAIN, velocity=velocity)
-            logits = (unary_forward(cloud.positions[idx], cloud.features[idx], model,
-                                    index=index, sorted_idx=si, sorted_dist=sd)
-                      for idx, (index, si, sd) in zip(val_passes, val_sorts))
-            val_oa = _accuracy(cloud, *_vote(cloud, val_passes, logits))
-            _log(fh, step=1, epoch=epoch, kind="labeled", mean_loss=mean_loss,
-                 val_oa=val_oa, lr=learning_rate(config, t))
-            if val_oa > best_oa:
-                best_oa = val_oa
-                best_model = model.copy()
-                best_iter = t
-            if stopper.update(val_oa):
-                break
-    finally:
-        if fh is not None:
-            fh.close()
+    with _Helper(cloud, val_passes) as helper:
+        fh = _open_log(log_path)
+        try:
+            for epoch in range(config.max_epochs):
+                t, mean_loss = _run_epoch(model, None, cloud, train_blocks,
+                                          cloud.labels, config, epoch, t,
+                                          update_xcrf=False, salt=_SALT_TRAIN,
+                                          velocity=velocity, helper=helper)
+                val_oa = _split_vote_oa(helper, model, None, val_sorts)
+                _log(fh, step=1, epoch=epoch, kind="labeled", mean_loss=mean_loss,
+                     val_oa=val_oa, lr=learning_rate(config, t))
+                if val_oa > best_oa:
+                    best_oa = val_oa
+                    best_model = model.copy()
+                    best_iter = t
+                if stopper.update(val_oa):
+                    break
+        finally:
+            if fh is not None:
+                fh.close()
     return ModelCheckpoint(model=best_model, axcrf=None, thetas=None, scaler=scaler,
                            config=config, best_val_oa=best_oa, iteration=best_iter,
                            slicing=slicing)
@@ -501,13 +723,8 @@ def generate_artificial_labels(checkpoint: ModelCheckpoint, cloud: PointCloud,
     if not blocks:
         raise ValueError("unlabeled block set is empty")
     cfg = checkpoint.config
-    model = checkpoint.model
-
-    def fwd(pos, feat):
-        return unary_forward(pos, feat, model)
-
-    pi, lab, passes = coverage_vote_predict(cloud, blocks, fwd, cfg.n_sample,
-                                            cfg.seed, _SALT_LABELS)
+    pi, lab, passes = pipeline_vote(cloud, blocks, checkpoint.model, None,
+                                    cfg.n_sample, cfg.seed, _SALT_LABELS)
     if pi.size == 0:
         raise ValueError("unlabeled blocks contain no points")
     return ArtificialLabelSet(cloud=cloud, blocks=blocks, point_indices=pi,
@@ -552,49 +769,54 @@ def train_step2(checkpoint: ModelCheckpoint, cloud: PointCloud, train_blocks,
     art_dense = artificial.dense_labels()
     art_hash = artificial.content_hash()
     stopper = EarlyStopper(config.patience)
-    # the validated model with freshly attached refinement is the baseline;
-    # retraining must beat it on validation or the baseline is returned
-    init_oa = evaluate_oa(cloud, val_blocks,
-                          lambda p, f: pipeline_forward(model, axcrf, p, f),
-                          config.n_sample, config.seed)
-    stopper.update(init_oa, epochs=0)
-    best_oa = init_oa
-    best_model = model.copy()
-    best_axcrf = axcrf.copy()
-    best_iter = 0
-    t = 0
-    velocity: dict = {}
-    fh = _open_log(log_path)
-    _log(fh, step=2, epoch=-1, kind="init", mean_loss=None, val_oa=init_oa,
-         lr=learning_rate(config, 0))
-    try:
-        for pair in range(max(1, config.max_epochs // 2)):
-            t, loss_lab = _run_epoch(model, axcrf, cloud, train_blocks, cloud.labels,
-                                     config, pair, t, update_xcrf=True,
-                                     salt=_SALT_TRAIN, velocity=velocity)
-            t, loss_art = _run_epoch(model, axcrf, artificial.cloud, artificial.blocks,
-                                     art_dense, config, pair, t, update_xcrf=False,
-                                     salt=_SALT_ART, velocity=velocity)
-            if artificial.content_hash() != art_hash:
-                raise RuntimeError("artificial labels changed during step 2")
-            val_oa = evaluate_oa(cloud, val_blocks,
-                                 lambda p, f: pipeline_forward(model, axcrf, p, f),
-                                 config.n_sample, config.seed)
-            lr_now = learning_rate(config, t)
-            _log(fh, step=2, epoch=2 * pair, kind="labeled", mean_loss=loss_lab,
-                 val_oa=None, lr=lr_now)
-            _log(fh, step=2, epoch=2 * pair + 1, kind="artificial",
-                 mean_loss=loss_art, val_oa=val_oa, lr=lr_now)
-            if val_oa > best_oa:
-                best_oa = val_oa
-                best_model = model.copy()
-                best_axcrf = axcrf.copy()
-                best_iter = t
-            if stopper.update(val_oa, epochs=2):
-                break
-    finally:
-        if fh is not None:
-            fh.close()
+    # every evaluation votes over the same passes; their sorts are made
+    # afresh each time, as keeping the stack's deep lists costs more memory
+    # than the repeat sorts cost time
+    val_passes = _coverage_passes(cloud, val_blocks, config.n_sample, config.seed,
+                                  _SALT_VAL)
+    with _Helper(cloud, val_passes) as helper:
+        # the validated model with freshly attached refinement is the
+        # baseline; retraining must beat it on validation or the baseline is
+        # returned
+        init_oa = _split_vote_oa(helper, model, axcrf)
+        stopper.update(init_oa, epochs=0)
+        best_oa = init_oa
+        best_model = model.copy()
+        best_axcrf = axcrf.copy()
+        best_iter = 0
+        t = 0
+        velocity: dict = {}
+        fh = _open_log(log_path)
+        _log(fh, step=2, epoch=-1, kind="init", mean_loss=None, val_oa=init_oa,
+             lr=learning_rate(config, 0))
+        try:
+            for pair in range(max(1, config.max_epochs // 2)):
+                t, loss_lab = _run_epoch(model, axcrf, cloud, train_blocks,
+                                         cloud.labels, config, pair, t,
+                                         update_xcrf=True, salt=_SALT_TRAIN,
+                                         velocity=velocity, helper=helper)
+                t, loss_art = _run_epoch(model, axcrf, artificial.cloud,
+                                         artificial.blocks, art_dense, config, pair,
+                                         t, update_xcrf=False, salt=_SALT_ART,
+                                         velocity=velocity, helper=helper)
+                if artificial.content_hash() != art_hash:
+                    raise RuntimeError("artificial labels changed during step 2")
+                val_oa = _split_vote_oa(helper, model, axcrf)
+                lr_now = learning_rate(config, t)
+                _log(fh, step=2, epoch=2 * pair, kind="labeled", mean_loss=loss_lab,
+                     val_oa=None, lr=lr_now)
+                _log(fh, step=2, epoch=2 * pair + 1, kind="artificial",
+                     mean_loss=loss_art, val_oa=val_oa, lr=lr_now)
+                if val_oa > best_oa:
+                    best_oa = val_oa
+                    best_model = model.copy()
+                    best_axcrf = axcrf.copy()
+                    best_iter = t
+                if stopper.update(val_oa, epochs=2):
+                    break
+        finally:
+            if fh is not None:
+                fh.close()
     return ModelCheckpoint(model=best_model, axcrf=best_axcrf, thetas=(ta, tb, tg),
                            scaler=checkpoint.scaler, config=config,
                            best_val_oa=best_oa, iteration=best_iter,

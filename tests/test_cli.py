@@ -431,6 +431,32 @@ def test_refine_without_thetas_takes_first_candidates(pipeline, trained, tmp_pat
     assert load_checkpoint(tmp_path / "x.ckpt").thetas == (2.0, 0.25, 4.0)
 
 
+def test_refine_normalizes_with_the_checkpoints_scaler(pipeline, trained, tmp_path,
+                                                       monkeypatch):
+    # another --seed draws other train tiles, and a scaler fit on those would
+    # scale the labeled features unlike the ones the model was trained on
+    from axcrf import training
+    from axcrf.pointcloud import load_pointcloud
+    seen = []
+    real = training.train_step2
+
+    def spy(ckpt, cloud, *args, **kwargs):
+        seen.append(cloud)
+        return real(ckpt, cloud, *args, **kwargs)
+
+    monkeypatch.setattr(training, "train_step2", spy)
+    argv = _refine_argv(pipeline, trained, tmp_path / "x.ckpt",
+                        pipeline / "unlabeled.txt")
+    argv[argv.index("--seed") + 1] = "1"
+    assert dispatch(argv) == 0
+    scaler = training.load_checkpoint(trained).scaler
+    raw = load_pointcloud(pipeline / "cloud.txt",
+                          {"x": 0, "y": 1, "z": 2, "features": [3, 4], "label": 5}, 3)
+    raw_features = {tuple(p): f for p, f in zip(raw.positions, raw.features)}
+    want = np.array([raw_features[tuple(p)] for p in seen[0].positions])
+    np.testing.assert_array_equal(seen[0].features, want * scaler.scale + scaler.offset)
+
+
 def test_labels_and_predict_default_to_the_recorded_slicing(pipeline, trained,
                                                             tmp_path):
     # train ran with --block 60 --shift 30 --min-points 16, and both

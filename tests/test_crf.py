@@ -485,12 +485,12 @@ def test_shared_sort_and_geometry_are_bit_equal(cloud):
     feat = np.stack([np.sin(pos.sum(axis=1)), np.cos(3.0 * pos[:, 2])], axis=1)
     U = rng.normal(size=(pos.shape[0], 4))
     index = NeighborIndex(pos)
-    deep_i, deep_d = index.nearest_others_all(200)
+    deep_i, _ = index.nearest_others_all(200)
     for _ in range(3):
         params = _signed_params(rng, 4)
         want = axcrf_forward(U, pos, feat, params, index)
         assert np.any(predict(want) != predict(U))
-        shared = axcrf_forward(U, pos, feat, params, index, deep_i, deep_d)
+        shared = axcrf_forward(U, pos, feat, params, index, deep_i)
         np.testing.assert_array_equal(shared, want)
 
 

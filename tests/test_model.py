@@ -128,9 +128,9 @@ def test_unary_forward_reads_a_deeper_shared_sort(cloud):
     feat = rng.normal(size=(pos.shape[0], 2))
     model = tiny_model(K=12)
     index = build_index(pos)
-    deep_i, deep_d = index.nearest_others_all(192)
+    deep_i, _ = index.nearest_others_all(192)
     np.testing.assert_array_equal(
-        unary_forward(pos, feat, model, index=index, sorted_idx=deep_i, sorted_dist=deep_d),
+        unary_forward(pos, feat, model, index=index, sorted_idx=deep_i),
         unary_forward(pos, feat, model, index=index))
 
 

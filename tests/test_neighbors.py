@@ -192,6 +192,17 @@ def test_atrous_gather_all_accepts_shared_sorted_lists():
         np.testing.assert_array_equal(shared_d, fresh_d)
 
 
+def test_atrous_gather_all_reads_indices_alone():
+    # the consumers read indices only; at D=8, K*D=64 tiles the 49 others
+    rng = np.random.default_rng(5)
+    index = build_index(rng.normal(size=(50, 3)))
+    sorted_i, _ = index.nearest_others_all(49)
+    for D in (1, 3, 8):
+        shared_i, shared_d = atrous_gather_all(index, 8, D, sorted_i)
+        assert shared_d is None
+        np.testing.assert_array_equal(shared_i, atrous_gather_all(index, 8, D)[0])
+
+
 @pytest.mark.parametrize("m", [256, 40])
 def test_atrous_gather_all_bit_equal_to_index_array_selection(m):
     # every stride of the default D_list at K=12 on a resampled block; at 40

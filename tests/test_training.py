@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -207,30 +208,66 @@ def test_step1_deterministic(step1_run):
     assert checkpoint_id(again) == checkpoint_id(s.ckpt)
 
 
-def test_step1_sorts_each_validation_pass_once(step1_run, monkeypatch):
-    # one neighbor sort per training block per epoch, plus one per
-    # validation pass for the whole run, not one per pass per epoch
-    s = step1_run
-    calls = []
+def _count_sorts(monkeypatch, tally):
+    """Make every neighbor sort append its process id to ``tally``, a file,
+    so the helper process's sorts are counted too; returns a reader of the
+    (count, distinct processes) so far."""
     real = NeighborIndex.nearest_others_all
 
     def counting(self, k):
-        calls.append(k)
+        with open(tally, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
         return real(self, k)
 
     monkeypatch.setattr(NeighborIndex, "nearest_others_all", counting)
-    ckpt = train_step1(s.cloud, s.train_blocks, s.val_blocks, s.config)
-    monkeypatch.undo()
-    epochs = len(open(s.log).readlines())
+
+    def read():
+        pids = tally.read_text(encoding="ascii").split() if tally.exists() else []
+        return len(pids), len(set(pids))
+    return read
+
+
+def _val_passes(s):
     _, _, passes = coverage_vote_predict(
         s.cloud, s.val_blocks, lambda p, f: np.zeros((len(p), s.cloud.C)),
         s.config.n_sample, s.config.seed, salt=training._SALT_VAL)
+    return passes
+
+
+def test_step1_sorts_each_validation_pass_once(step1_run, monkeypatch, tmp_path):
+    # one neighbor sort per training block per epoch, plus one per
+    # validation pass for the whole run, not one per pass per epoch; counted
+    # across this process and the helper
+    s = step1_run
+    sorts = _count_sorts(monkeypatch, tmp_path / "sorts")
+    ckpt = train_step1(s.cloud, s.train_blocks, s.val_blocks, s.config)
+    monkeypatch.undo()
+    epochs = len(open(s.log).readlines())
+    passes = _val_passes(s)
     assert epochs == s.config.max_epochs and passes > len(s.val_blocks)
-    assert len(calls) == epochs * len(s.train_blocks) + passes
+    count, processes = sorts()
+    assert count == epochs * len(s.train_blocks) + passes
+    assert processes == (2 if training._FORK else 1)
     # the stored sorts score the returned model as a fresh evaluation does
     assert ckpt.best_val_oa == evaluate_oa(
         s.cloud, s.val_blocks, lambda p, f: unary_forward(p, f, ckpt.model),
         s.config.n_sample, s.config.seed)
+
+
+def test_step2_sorts_each_sample_once_per_epoch_and_each_pass_per_evaluation(
+        step2_run, monkeypatch, tmp_path):
+    s = step2_run
+    sorts = _count_sorts(monkeypatch, tmp_path / "sorts")
+    log = tmp_path / "step2.jsonl"
+    train_step2(s.ckpt, s.cloud, s.train_blocks, s.art, s.val_blocks,
+                config=s.config, thetas=(1.0, 0.1, 1.0), log_path=log)
+    monkeypatch.undo()
+    pairs = (len(open(log).readlines()) - 1) // 2
+    assert pairs == max(1, s.config.max_epochs // 2)
+    count, processes = sorts()
+    assert count == (pairs * (len(s.train_blocks) + len(s.art.blocks))
+                     + (1 + pairs) * _val_passes(s))
+    assert processes == (2 if training._FORK else 1)
 
 
 def test_step1_validation(step1_run):
