@@ -3,22 +3,43 @@
 Deliberately small: only the operations needed to train the X-Conv point
 classifier and the CRF refinement stack on a CPU. Every forward pass records
 onto a fresh :class:`Tape`; a single :func:`backward` walk then fills the
-``grad`` slot of every leaf on that tape (the parameters and constants made
-by :meth:`Tape.leaf`). The walk consumes the tape: each op record and each
-op output's gradient is released once propagated, so op outputs keep
-``grad`` None and the tape cannot be walked again. Tensors are immutable
-after creation (except for grad population), so forward values are
-reproducible bit-for-bit in single-threaded runs.
+``grad`` slot of the leaves on that tape (the parameters and constants made
+by :meth:`Tape.leaf`). Tensors are immutable after creation (except for grad
+population), so forward values are reproducible bit-for-bit in
+single-threaded runs.
 
-A dense layer is one ``affine`` record: ``x @ w + b``, optionally followed
-by an in-place relu. It fuses the ``matrix-multiply`` -> ``add`` -> ``relu``
-chain into one output array and one backward step, with the same numpy calls
-in the same order, so its values and gradients equal the chain's bit for bit.
+The walk computes only the gradients something reads. ``backward`` takes
+the leaves the caller wants, marks every tensor that depends on one of them,
+and tells each op's backward which of its inputs need a gradient; the op
+skips the rest. Ops that pass no gradient (``one-hot-argmax``,
+``stop-gradient``) end the marking. Unwanted leaves get zero gradients, as
+leaves the loss does not reach do. Every gradient that is computed is
+computed as a walk over all leaves computes it, so wanted gradients do not
+depend on what else is wanted.
+
+The walk consumes the tape: each op record, each op output's gradient and
+the tape's hold on each op output (its ``tensors`` slot becomes None) are
+released once that record has been passed, so op outputs keep ``grad`` None
+and the tape cannot be walked again.
+
+Two records fuse chains of ops, with the same numpy calls in the same order
+as the chain, so values and gradients equal the chain's bit for bit:
+
+- ``affine`` is a dense layer, ``x @ w + b``, optionally followed by an
+  in-place relu: the ``matrix-multiply`` -> ``add`` -> ``relu`` chain.
+- ``mean-field-step`` is one mean-field iteration of the CRF refinement:
+  the ``softmax-rows`` -> ``one-hot-argmax`` -> ``matrix-multiply`` ->
+  ``weighted-gather-sum`` -> ``elementwise-multiply`` -> ``subtract``
+  chain. Its softmax takes the row maximum one column at a time, which can
+  differ from ``max(axis=1)`` only in the sign of a zero maximum; that
+  shift feeds only ``exp``, and ``x - (+0)`` and ``x - (-0)`` differ only
+  at ``x = +-0``, where ``exp`` gives 1 either way.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -123,11 +144,11 @@ class Tape:
     Construction is single-writer and topologically ordered by definition:
     an operation can only consume tensors that already exist on the tape.
     Exactly one backward pass is allowed per tape, and it consumes the op
-    records.
+    records and the tape's hold on their outputs.
     """
 
     def __init__(self):
-        self.tensors: list[Tensor] = []
+        self.tensors: list[Tensor | None] = []
         self._ops: list[tuple[Tensor, list[Tensor], object]] = []
         self._backward_done = False
 
@@ -165,13 +186,20 @@ def _check_broadcast(a: np.ndarray, b: np.ndarray, kind: str) -> None:
         raise ValueError(f"{kind}: incompatible shapes {a.shape} and {b.shape}") from None
 
 
+# Every op returns (output values, backward). The backward takes the
+# output's gradient and a tuple saying which inputs need a gradient, and
+# returns one gradient per input; an input that needs none may get None.
+# An op that passes no gradient returns None for its backward.
+
+
 def _op_add(vals, attrs):
     a, b = vals
     _check_broadcast(a, b, "add")
     out = a + b
 
-    def bk(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+    def bk(g, need):
+        return (_unbroadcast(g, a.shape) if need[0] else None,
+                _unbroadcast(g, b.shape) if need[1] else None)
 
     return out, bk
 
@@ -181,8 +209,9 @@ def _op_subtract(vals, attrs):
     _check_broadcast(a, b, "subtract")
     out = a - b
 
-    def bk(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+    def bk(g, need):
+        return (_unbroadcast(g, a.shape) if need[0] else None,
+                _unbroadcast(-g, b.shape) if need[1] else None)
 
     return out, bk
 
@@ -192,8 +221,9 @@ def _op_multiply(vals, attrs):
     _check_broadcast(a, b, "elementwise-multiply")
     out = a * b
 
-    def bk(g):
-        return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
+    def bk(g, need):
+        return (_unbroadcast(g * b, a.shape) if need[0] else None,
+                _unbroadcast(g * a, b.shape) if need[1] else None)
 
     return out, bk
 
@@ -206,8 +236,8 @@ def _op_matmul(vals, attrs):
         raise ValueError(f"matrix-multiply: inner dimensions differ, {a.shape} and {b.shape}")
     out = a @ b
 
-    def bk(g):
-        return g @ b.T, a.T @ g
+    def bk(g, need):
+        return g @ b.T if need[0] else None, a.T @ g if need[1] else None
 
     return out, bk
 
@@ -228,11 +258,12 @@ def _op_affine(vals, attrs):
     if relu:
         np.maximum(out, 0.0, out=out)
 
-    def bk(g):
+    def bk(g, need):
         if relu:
             # out > 0 exactly where the pre-activation is > 0, nan included
             g = g * (out > 0.0)
-        return g @ w.T, x.T @ g, _unbroadcast(g, b.shape)
+        return (g @ w.T if need[0] else None, x.T @ g if need[1] else None,
+                _unbroadcast(g, b.shape) if need[2] else None)
 
     return out, bk
 
@@ -245,17 +276,22 @@ def _op_batched_matmul(vals, attrs):
         raise ValueError(f"batched-matrix-multiply: incompatible shapes {a.shape} and {b.shape}")
     out = a @ b
 
-    def bk(g):
-        return g @ b.transpose(0, 2, 1), a.transpose(0, 2, 1) @ g
+    def bk(g, need):
+        return (g @ b.transpose(0, 2, 1) if need[0] else None,
+                a.transpose(0, 2, 1) @ g if need[1] else None)
 
     return out, bk
+
+
+# An op with one input is walked only when that input needs a gradient, so
+# the single-input backwards below ignore ``need``.
 
 
 def _op_exp(vals, attrs):
     (a,) = vals
     out = np.exp(a)
 
-    def bk(g):
+    def bk(g, need):
         return (g * out,)
 
     return out, bk
@@ -265,7 +301,7 @@ def _op_log(vals, attrs):
     (a,) = vals
     out = np.log(a)
 
-    def bk(g):
+    def bk(g, need):
         return (g / a,)
 
     return out, bk
@@ -275,10 +311,15 @@ def _op_relu(vals, attrs):
     (a,) = vals
     out = np.maximum(a, 0.0)
 
-    def bk(g):
+    def bk(g, need):
         return (g * (a > 0.0),)
 
     return out, bk
+
+
+def _softmax_backward(out, g):
+    dot = (g * out).sum(axis=1, keepdims=True)
+    return out * (g - dot)
 
 
 def _op_softmax_rows(vals, attrs):
@@ -290,9 +331,8 @@ def _op_softmax_rows(vals, attrs):
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
 
-    def bk(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
+    def bk(g, need):
+        return (_softmax_backward(out, g),)
 
     return out, bk
 
@@ -305,7 +345,7 @@ def _op_log_softmax_rows(vals, attrs):
     shifted = a - a.max(axis=1, keepdims=True)
     out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
-    def bk(g):
+    def bk(g, need):
         p = np.exp(out)
         return (g - p * g.sum(axis=1, keepdims=True),)
 
@@ -316,7 +356,7 @@ def _op_sum(vals, attrs):
     (a,) = vals
     out = np.asarray(a.sum())
 
-    def bk(g):
+    def bk(g, need):
         return (g * np.ones_like(a),)
 
     return out, bk
@@ -327,7 +367,7 @@ def _op_mean(vals, attrs):
     out = np.asarray(a.mean())
     n = a.size
 
-    def bk(g):
+    def bk(g, need):
         return (g * np.full_like(a, 1.0 / n),)
 
     return out, bk
@@ -346,7 +386,8 @@ def _op_concatenate(vals, attrs):
     sizes = [v.shape[axis] for v in vals]
     splits = np.cumsum(sizes)[:-1]
 
-    def bk(g):
+    def bk(g, need):
+        # views of g, so an unneeded part costs nothing
         return tuple(np.split(g, splits, axis=axis))
 
     return out, bk
@@ -363,6 +404,24 @@ def _scatter_rows(shape, idx, rows) -> np.ndarray:
     return out.reshape(shape)
 
 
+def _scatter_weighted(n_rows: int, idx: np.ndarray, w: np.ndarray,
+                      g: np.ndarray) -> np.ndarray:
+    """``_scatter_rows((n_rows, C), idx.ravel(), w[:, :, None] * g[:, None, :])``
+    without the (N, K, C) product: column c scatters ``w * g[:, c]``, the
+    same products in the same order, one bincount per class."""
+    flat_idx = idx.ravel()
+    out = np.empty((n_rows, g.shape[1]))
+    for c in range(g.shape[1]):
+        out[:, c] = np.bincount(flat_idx, weights=(w * g[:, c, None]).ravel(),
+                                minlength=n_rows)
+    return out
+
+
+def _check_indices(kind: str, idx: np.ndarray, n_rows: int) -> None:
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise ValueError(f"{kind}: index out of range for {n_rows} rows")
+
+
 def _op_gather_rows(vals, attrs):
     (a,) = vals
     idx = np.asarray(attrs["indices"], dtype=np.intp)
@@ -370,37 +429,32 @@ def _op_gather_rows(vals, attrs):
         raise ValueError(f"gather-rows: indices must be 1-D, got shape {idx.shape}")
     if a.ndim < 1:
         raise ValueError("gather-rows: input must have at least one axis")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ValueError(f"gather-rows: index out of range for {a.shape[0]} rows")
+    _check_indices("gather-rows", idx, a.shape[0])
     out = a.take(idx, axis=0)
 
-    def bk(g):
+    def bk(g, need):
         return (_scatter_rows(a.shape, idx, g),)
 
     return out, bk
+
+
+def _one_hot_argmax(a: np.ndarray) -> np.ndarray:
+    am = a.argmax(axis=1)  # ties resolve to the lowest index
+    out = np.zeros_like(a)
+    out[np.arange(a.shape[0]), am] = 1.0
+    return out
 
 
 def _op_one_hot_argmax(vals, attrs):
     (a,) = vals
     if a.ndim != 2:
         raise ValueError(f"one-hot-argmax: expected 2-D input, got {a.shape}")
-    am = a.argmax(axis=1)  # ties resolve to the lowest index
-    out = np.zeros_like(a)
-    out[np.arange(a.shape[0]), am] = 1.0
-
-    def bk(g):
-        return (None,)
-
-    return out, bk
+    return _one_hot_argmax(a), None
 
 
 def _op_stop_gradient(vals, attrs):
     (a,) = vals
-
-    def bk(g):
-        return (None,)
-
-    return a, bk
+    return a, None
 
 
 def _op_dropout_mask(vals, attrs):
@@ -413,7 +467,7 @@ def _op_dropout_mask(vals, attrs):
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
     out = a * mask
 
-    def bk(g):
+    def bk(g, need):
         return (g * mask,)
 
     return out, bk
@@ -426,30 +480,88 @@ def _op_reshape(vals, attrs):
         raise ValueError(f"reshape: cannot reshape {a.shape} to {shape}")
     out = a.reshape(shape)
 
-    def bk(g):
+    def bk(g, need):
         return (g.reshape(a.shape),)
 
     return out, bk
+
+
+def _check_weighted_gather(kind: str, x: np.ndarray, w: np.ndarray,
+                           idx: np.ndarray) -> None:
+    if x.ndim != 2 or w.ndim != 2:
+        raise ValueError(f"{kind}: expected 2-D operands, got {x.shape} and {w.shape}")
+    if idx.shape != w.shape:
+        raise ValueError(f"{kind}: index shape {idx.shape} must match weights {w.shape}")
+    _check_indices(kind, idx, x.shape[0])
 
 
 def _op_weighted_gather_sum(vals, attrs):
     # out[i, :] = sum_j w[i, j] * x[idx[i, j], :]
     x, w = vals
     idx = np.asarray(attrs["indices"], dtype=np.intp)
-    if x.ndim != 2 or w.ndim != 2:
-        raise ValueError(f"weighted-gather-sum: expected 2-D operands, got {x.shape} and {w.shape}")
-    if idx.shape != w.shape:
-        raise ValueError(f"weighted-gather-sum: index shape {idx.shape} must match weights {w.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ValueError(f"weighted-gather-sum: index out of range for {x.shape[0]} rows")
+    _check_weighted_gather("weighted-gather-sum", x, w, idx)
     out = np.einsum("nk,nkc->nc", w, x.take(idx, axis=0))
 
-    def bk(g):
+    def bk(g, need):
         # re-gathered rather than captured: the (N, K, C) copy is the
         # largest array an op would otherwise hold for the tape's life
-        dx = _scatter_rows(x.shape, idx.ravel(), w[:, :, None] * g[:, None, :])
-        dw = np.einsum("nkc,nc->nk", x.take(idx, axis=0), g)
+        dx = _scatter_weighted(x.shape[0], idx, w, g) if need[0] else None
+        dw = np.einsum("nkc,nc->nk", x.take(idx, axis=0), g) if need[1] else None
         return dx, dw
+
+    return out, bk
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """(N, 1) row maxima, one np.maximum per column: a.max(axis=1) up to
+    the sign of a zero maximum, and several times faster on narrow rows."""
+    m = a[:, 0].copy()
+    for c in range(1, a.shape[1]):
+        np.maximum(m, a[:, c], out=m)
+    return m[:, None]
+
+
+def _op_mean_field_step(vals, attrs):
+    # u_1 = U - (g_w-weighted neighbor sum of u_s) * (one_hot(u_s) @ hollow)
+    # with u_s = softmax_rows(u_prev): the six-op chain's numpy calls in its
+    # order, apart from the row max (see the module docstring). A list given
+    # as ``snapshot`` receives the chain's (u_s, w_u, u_g, u_p) values.
+    U, g_w, hollow, u_prev = vals
+    idx = np.asarray(attrs["indices"], dtype=np.intp)
+    if U.ndim != 2 or u_prev.shape != U.shape:
+        raise ValueError(f"mean-field-step: unaries {U.shape} and previous "
+                         f"iterate {u_prev.shape} must be the same N x C")
+    if hollow.shape != (U.shape[1], U.shape[1]):
+        raise ValueError(f"mean-field-step: compatibility shape {hollow.shape} "
+                         f"does not match {U.shape[1]} classes")
+    if g_w.shape[:1] != U.shape[:1]:
+        raise ValueError(f"mean-field-step: filter weights {g_w.shape} do not "
+                         f"match {U.shape[0]} points")
+    _check_weighted_gather("mean-field-step", u_prev, g_w, idx)
+    e = np.exp(u_prev - _row_max(u_prev))
+    u_s = e / e.sum(axis=1, keepdims=True)
+    one_hot = _one_hot_argmax(u_s)
+    w_u = one_hot @ hollow
+    u_g = np.einsum("nk,nkc->nc", g_w, u_s.take(idx, axis=0))
+    u_p = u_g * w_u
+    out = U - u_p
+    snapshot = attrs.get("snapshot")
+    if snapshot is not None:
+        snapshot.append((u_s, w_u, u_g, u_p))
+
+    def bk(g, need):
+        need_u, need_gw, need_hollow, need_prev = need
+        g_p = -g
+        d_gw = d_hollow = d_prev = None
+        if need_gw or need_prev:
+            d_ug = g_p * w_u
+        if need_gw:
+            d_gw = np.einsum("nkc,nc->nk", u_s.take(idx, axis=0), d_ug)
+        if need_hollow:
+            d_hollow = one_hot.T @ (g_p * u_g)
+        if need_prev:
+            d_prev = _softmax_backward(u_s, _scatter_weighted(u_s.shape[0], idx, g_w, d_ug))
+        return g if need_u else None, d_gw, d_hollow, d_prev
 
     return out, bk
 
@@ -475,6 +587,7 @@ _OPS = {
     "dropout-mask": _op_dropout_mask,
     "reshape": _op_reshape,
     "weighted-gather-sum": _op_weighted_gather_sum,
+    "mean-field-step": _op_mean_field_step,
 }
 
 OP_KINDS = tuple(sorted(_OPS))
@@ -490,15 +603,24 @@ def apply(tape: Tape, kind: str, inputs: list[Tensor], **attrs) -> Tensor:
     return tape._record(inputs, out_values, backward_fn)
 
 
-def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
+def backward(tape: Tape, loss: Tensor,
+             wanted: Iterable[Tensor] | None = None) -> dict[int, np.ndarray]:
     """Reverse pass from a scalar loss; fills ``grad`` on every leaf.
 
-    Returns the leaf gradients {node_id: grad array}; leaves not reachable
-    from the loss get zero gradients. The walk consumes the tape: each op
-    record is dropped once its backward has run and each op output's
-    gradient once it has been propagated, so op outputs keep ``grad`` None.
-    Every consumer of a tensor is recorded after its producer, so in reverse
-    recording order a gradient is complete when its producer is reached.
+    ``wanted`` is an iterable of leaf tensors whose gradients the caller
+    reads, or None for every leaf. Only gradients into tensors that depend
+    on a wanted leaf are computed; each wanted gradient is bit-equal to what
+    a walk over every leaf gives. Returns the leaf gradients
+    {node_id: grad array}; unwanted leaves and leaves not reachable from the
+    loss get zero gradients.
+
+    The walk consumes the tape: as each op record is passed, the record, its
+    output's gradient and the tape's hold on its output (``tape.tensors``
+    keeps its length, with None in that slot) are dropped, so op outputs
+    keep ``grad`` None and arrays nothing else holds are freed during the
+    walk. Every consumer of a tensor is recorded after its producer, so in
+    reverse recording order a gradient is complete when its producer is
+    reached.
     """
     if loss.tape is not tape:
         raise ValueError("loss was not produced on this record")
@@ -506,25 +628,42 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
         raise ValueError(f"loss must be a scalar, got shape {loss.shape}")
     if tape._backward_done:
         raise RuntimeError("backward already ran once on this record")
+
+    tensors, ops = tape.tensors, tape._ops
+    if wanted is None:
+        needs = [True] * len(tensors)
+    else:
+        needs = [False] * len(tensors)
+        for t in wanted:
+            if t.tape is not tape:
+                raise ValueError("wanted tensor is not on this record")
+            needs[t.node_id] = True
+        if any(needs[out.node_id] for out, _, _ in ops):
+            raise ValueError("wanted tensors must be leaves")
+    # a tensor needs a gradient when a wanted leaf reaches it through ops
+    # that pass gradients
+    for out, inputs, bk in ops:
+        needs[out.node_id] = bk is not None and any(needs[t.node_id] for t in inputs)
     tape._backward_done = True
 
-    ops = tape._ops
-    produced = {out.node_id for out, _, _ in ops}
-    grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.values)}
+    grads: dict[int, np.ndarray] = {}
+    if needs[loss.node_id]:
+        grads[loss.node_id] = np.ones_like(loss.values)
     while ops:
         out, inputs, bk = ops.pop()
+        tensors[out.node_id] = None
         g = grads.pop(out.node_id, None)
         if g is None:
             continue
-        for t, ig in zip(inputs, bk(g)):
-            if ig is None:
-                continue
-            acc = grads.get(t.node_id)
-            grads[t.node_id] = ig if acc is None else acc + ig
+        need = tuple(needs[t.node_id] for t in inputs)
+        for t, n, ig in zip(inputs, need, bk(g, need)):
+            if n:
+                acc = grads.get(t.node_id)
+                grads[t.node_id] = ig if acc is None else acc + ig
 
     result: dict[int, np.ndarray] = {}
-    for t in tape.tensors:
-        if t.node_id in produced:
+    for t in tensors:
+        if t is None:
             continue
         g = grads.get(t.node_id)
         if g is None:

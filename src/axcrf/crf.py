@@ -223,7 +223,8 @@ def xcrf_graph(tape: Tape, U: Tensor, B_f: np.ndarray, S_f: np.ndarray,
     diagonal entries receive exactly zero gradient and the hollow structure
     survives any update. The one-hot class selection blocks gradients
     toward the normalized unaries; they still flow through the
-    message-passing term.
+    message-passing term. Each iteration is one ``mean-field-step`` record
+    with inputs ``(U, g_w, hollow, u_prev)``.
     """
     C = U.shape[1]
     bf_t = tape.leaf(B_f)
@@ -232,16 +233,16 @@ def xcrf_graph(tape: Tape, U: Tensor, B_f: np.ndarray, S_f: np.ndarray,
     hollow = apply(tape, "elementwise-multiply", [compat, tape.leaf(_hollow_mask(C))])
     u_1 = U
     for _ in range(r):
-        u_s = u_1.softmax_rows()
-        one_hot = apply(tape, "one-hot-argmax", [u_s])
-        w_u = one_hot.matmul(hollow)
-        u_g = apply(tape, "weighted-gather-sum", [u_s, g_w], indices=nbr_idx)
-        u_p = u_g * w_u
-        u_1 = U - u_p
+        # one record per iteration; U comes first so the walk adds its direct
+        # gradient before the softmax path's when u_1 is U
+        step = [] if collect is not None else None
+        u_1 = apply(tape, "mean-field-step", [U, g_w, hollow, u_1],
+                    indices=nbr_idx, snapshot=step)
         if collect is not None:
+            u_s, w_u, u_g, u_p = step[0]
             collect.append(MeanFieldState(
-                U=U.values.copy(), U_1=u_1.values.copy(), U_s=u_s.values.copy(),
-                W_u=w_u.values.copy(), U_G=u_g.values.copy(), U_p=u_p.values.copy()))
+                U=U.values.copy(), U_1=u_1.values.copy(), U_s=u_s.copy(),
+                W_u=w_u.copy(), U_G=u_g.copy(), U_p=u_p.copy()))
     return u_1
 
 

@@ -525,9 +525,10 @@ def evaluate_oa(cloud: PointCloud, blocks, forward_fn, n_sample: int,
 
 
 def _block_grads(model, axcrf, cloud, block, idx, sorted_idx, labels_dense,
-                 dropout_rng):
+                 dropout_rng, update_xcrf):
     """Forward + backward over one sampled block, given the sample's
-    indices into ``cloud`` and its sorted neighbor indices.
+    indices into ``cloud`` and its sorted neighbor indices. The stack's
+    weight gradients are computed and returned only with ``update_xcrf``.
     Returns (grads by name, loss, point count)."""
     pos = cloud.positions[idx]
     feat = cloud.features[idx]
@@ -543,12 +544,13 @@ def _block_grads(model, axcrf, cloud, block, idx, sorted_idx, labels_dense,
     if axcrf is not None:
         out, xbinds = axcrf_graph(tape, out, pos, feat, axcrf, index,
                                   sorted_idx=sorted_idx)
-        binds = {**binds, **xbinds}
+        if update_xcrf:
+            binds = {**binds, **xbinds}
     loss = cross_entropy_graph(tape, out, lab)
     if not math.isfinite(float(loss.values)):
         raise NumericError(f"non-finite loss {float(loss.values)} on block "
                            f"at origin {block.origin}")
-    g = backward(tape, loss)
+    g = backward(tape, loss, wanted=binds.values())
     grads = {name: g[t.node_id] for name, t in binds.items()}
     for name, grad in grads.items():
         if not np.all(np.isfinite(grad)):
@@ -607,7 +609,7 @@ def _run_epoch(model, axcrf, cloud, blocks, labels_dense, config, epoch, t,
         for k in range(start, min(start + config.batch_blocks, len(order))):
             drng = np.random.default_rng([seeds[k], _SALT_DROPOUT])
             per.append(_block_grads(model, axcrf, cloud, order[k], samples[k],
-                                    next(sorts), labels_dense, drng))
+                                    next(sorts), labels_dense, drng, update_xcrf))
         total_pts = sum(p[2] for p in per)
         agg: dict[str, np.ndarray] = {}
         batch_loss = 0.0

@@ -10,7 +10,8 @@ Four exceptions drive package code by an older, plainer route:
 per-call forward, one fresh neighbor sort per (triple, block);
 ``xconv_forward`` applies one X-Conv block to one point on a tape of its
 own; ``chain_apply`` records each dense layer as matrix-multiply, add and
-relu; ``full_map_backward`` walks a tape keeping every gradient to the end.
+relu, and each mean-field iteration as its six-op chain;
+``full_map_backward`` walks a tape keeping every gradient to the end.
 """
 
 import math
@@ -190,15 +191,28 @@ def xconv_forward(p, P, F, params):
 
 
 def chain_apply(tape, kind, inputs, **attrs):
-    """``autograd.apply`` with each ``affine`` record replaced by the
-    matrix-multiply -> add [-> relu] chain it fuses."""
+    """``autograd.apply`` with each fused record replaced by the chain it
+    fuses: ``affine`` by matrix-multiply -> add [-> relu], and
+    ``mean-field-step`` by softmax-rows -> one-hot-argmax -> matrix-multiply
+    -> weighted-gather-sum -> elementwise-multiply -> subtract, filling a
+    ``snapshot`` list with the chain's (u_s, w_u, u_g, u_p) values."""
     from axcrf.autograd import apply
 
-    if kind != "affine":
-        return apply(tape, kind, inputs, **attrs)
-    x, w, b = inputs
-    out = apply(tape, "add", [apply(tape, "matrix-multiply", [x, w]), b])
-    return apply(tape, "relu", [out]) if attrs.get("relu") else out
+    if kind == "affine":
+        x, w, b = inputs
+        out = apply(tape, "add", [apply(tape, "matrix-multiply", [x, w]), b])
+        return apply(tape, "relu", [out]) if attrs.get("relu") else out
+    if kind == "mean-field-step":
+        U, g_w, hollow, u_prev = inputs
+        u_s = apply(tape, "softmax-rows", [u_prev])
+        one_hot = apply(tape, "one-hot-argmax", [u_s])
+        w_u = apply(tape, "matrix-multiply", [one_hot, hollow])
+        u_g = apply(tape, "weighted-gather-sum", [u_s, g_w], indices=attrs["indices"])
+        u_p = apply(tape, "elementwise-multiply", [u_g, w_u])
+        if attrs.get("snapshot") is not None:
+            attrs["snapshot"].append(tuple(t.values for t in (u_s, w_u, u_g, u_p)))
+        return apply(tape, "subtract", [U, u_p])
+    return apply(tape, kind, inputs, **attrs)
 
 
 # -- reverse pass ------------------------------------------------------------------
@@ -207,15 +221,14 @@ def chain_apply(tape, kind, inputs, **attrs):
 def full_map_backward(tape, loss):
     """Reverse pass that keeps the gradient of every tape tensor to the end
     and leaves the op records in place: {node_id: grad}, zeros where the loss
-    does not reach. Walk and accumulation order match ``autograd.backward``."""
+    does not reach. Every op is asked for the gradient of every input. Walk
+    and accumulation order match ``autograd.backward``."""
     grads = {loss.node_id: np.ones_like(loss.values)}
     for out, inputs, bk in reversed(tape._ops):
         g = grads.get(out.node_id)
-        if g is None:
+        if g is None or bk is None:
             continue
-        for t, ig in zip(inputs, bk(g)):
-            if ig is None:
-                continue
+        for t, ig in zip(inputs, bk(g, (True,) * len(inputs))):
             acc = grads.get(t.node_id)
             grads[t.node_id] = ig if acc is None else acc + ig
     return {t.node_id: grads.get(t.node_id, np.zeros_like(t.values))

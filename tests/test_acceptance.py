@@ -163,6 +163,25 @@ def _op_closures(rng):
     out["affine/bias"] = chain(
         lambda tp, x: apply(tp, "affine", [tp.leaf(A), tp.leaf(Wd), x]),
         rng.normal(size=c), probe)
+    # the fused mean-field iteration, drawn after everything above; the
+    # previous iterate's argmax sits 1.5 clear, as in _check_xcrf_grads, so
+    # the one-hot selection holds under the central differences
+    mf_U = rng.normal(size=(n, c))
+    mf_hollow = rng.normal(size=(c, c))
+    mf_prev = rng.normal(size=(n, c))
+    mf_prev[np.arange(n), mf_prev.argmax(axis=1)] += 1.5
+
+    def mean_field(slot):
+        def build(tp, x):
+            ins = [tp.leaf(v) for v in (mf_U, weights, mf_hollow, mf_prev)]
+            ins[slot] = x
+            return apply(tp, "mean-field-step", ins, indices=nbr)
+        return build
+
+    out["mean-field-step"] = chain(mean_field(0), mf_U, probe)
+    out["mean-field-step/filter-weights"] = chain(mean_field(1), weights, probe)
+    out["mean-field-step/compat"] = chain(mean_field(2), mf_hollow, probe)
+    out["mean-field-step/previous"] = chain(mean_field(3), mf_prev, probe)
     return out
 
 

@@ -387,7 +387,8 @@ def test_backward_keeps_leaf_gradients_and_consumes_tape():
 def _step2_block_tape(positions, stack, width=24, K=12):
     """A training block shaped like a step-2 one, on a fresh tape: the X-Conv
     classifier and, with ``stack``, the six-level refinement stack at r = 5.
-    Deterministic, so two calls record identical tapes. Returns (tape, loss)."""
+    Deterministic, so two calls record identical tapes. Returns (tape, loss,
+    the classifier's bindings, the stack's bindings)."""
     C = 4
     rng = RNG(11)
     features = rng.normal(size=(len(positions), 2))
@@ -397,43 +398,93 @@ def _step2_block_tape(positions, stack, width=24, K=12):
                              hidden=width, dropout_rate=0.0, offset_scale=4.0)
     index = build_index(positions)
     tape = Tape()
-    out, _ = unary_graph(tape, positions, features, model, index=index)
+    out, binds = unary_graph(tape, positions, features, model, index=index)
+    xbinds = {}
     if stack:
-        out, _ = axcrf_graph(tape, out, positions, features,
-                             AXcrfParams.initial(C, K=K, r=5), index)
-    return tape, cross_entropy_graph(tape, out, labels)
+        out, xbinds = axcrf_graph(tape, out, positions, features,
+                                  AXcrfParams.initial(C, K=K, r=5), index)
+    return tape, cross_entropy_graph(tape, out, labels), binds, xbinds
+
+
+def _check_against_full_map_walk(cloud, stack, wanted):
+    rng = RNG(12)
+    if cloud == "distinct":
+        positions = rng.uniform(0.0, 12.0, size=(160, 3))
+    else:
+        positions = DUPLICATE_CLOUDS[cloud](rng)
+    want = full_map_backward(*_step2_block_tape(positions, stack, width=8, K=8)[:2])
+    tape, loss, binds, xbinds = _step2_block_tape(positions, stack, width=8, K=8)
+    produced = {out.node_id for out, _, _ in tape._ops}
+    leaves = [t for t in tape.tensors if t.node_id not in produced]
+    read = {"all": leaves, "classifier": list(binds.values()),
+            "classifier+stack": [*binds.values(), *xbinds.values()]}[wanted]
+    got = backward(tape, loss, wanted=None if wanted == "all" else read)
+    assert sorted(got) == [t.node_id for t in leaves]
+    assert any(np.any(g) for g in got.values())
+    read_ids = {t.node_id for t in read}
+    for t in leaves:
+        assert t.grad is got[t.node_id]
+        if t.node_id in read_ids:
+            assert got[t.node_id].tobytes() == want[t.node_id].tobytes(), t.node_id
+        else:
+            # unwanted leaves get zeros, as unreachable ones do
+            assert not np.any(got[t.node_id]), t.node_id
 
 
 @pytest.mark.parametrize("cloud,stack", [("distinct", False), ("distinct", True),
                                          ("resampled", True)])
 def test_backward_bit_equal_to_full_map_walk(cloud, stack):
     # resampled: 256 rows drawn from 100 points, as in a recipe block
-    rng = RNG(12)
-    if cloud == "distinct":
-        positions = rng.uniform(0.0, 12.0, size=(160, 3))
-    else:
-        positions = DUPLICATE_CLOUDS[cloud](rng)
-    want = full_map_backward(*_step2_block_tape(positions, stack, width=8, K=8))
-    tape, loss = _step2_block_tape(positions, stack, width=8, K=8)
-    produced = {out.node_id for out, _, _ in tape._ops}
-    leaves = [t for t in tape.tensors if t.node_id not in produced]
-    got = backward(tape, loss)
-    assert sorted(got) == [t.node_id for t in leaves]
-    assert any(np.any(g) for g in got.values())
-    for t in leaves:
-        assert t.grad is got[t.node_id]
-        assert got[t.node_id].tobytes() == want[t.node_id].tobytes(), t.node_id
+    _check_against_full_map_walk(cloud, stack, "all")
+
+
+@pytest.mark.parametrize("cloud,stack,wanted", [
+    ("distinct", False, "classifier"), ("distinct", True, "classifier"),
+    ("distinct", True, "classifier+stack"), ("resampled", True, "classifier"),
+    ("resampled", True, "classifier+stack")])
+def test_wanted_gradients_bit_equal_to_full_map_walk(cloud, stack, wanted):
+    # "classifier" is an artificial-label epoch's block, with the stack frozen
+    _check_against_full_map_walk(cloud, stack, wanted)
+
+
+def test_wanted_tensors_must_be_leaves_of_the_tape():
+    tape = Tape()
+    x = tape.leaf([1.0, 2.0])
+    h = x * x
+    loss = scalar_of(h)
+    with pytest.raises(ValueError, match="leaves"):
+        backward(tape, loss, wanted=[h])
+    with pytest.raises(ValueError, match="not on this record"):
+        backward(tape, loss, wanted=[Tape().leaf([1.0])])
+    grads = backward(tape, loss, wanted=[])
+    np.testing.assert_array_equal(grads[x.node_id], [0.0, 0.0])
+
+
+def test_backward_frees_op_outputs_as_it_walks():
+    positions = RNG(13).uniform(0.0, 16.0, size=(64, 3))
+    tape, loss, binds, _ = _step2_block_tape(positions, stack=True, width=8, K=8)
+    produced = [out.node_id for out, _, _ in tape._ops]
+    size = len(tape.tensors)
+    # arrays that own their memory; views share it with another tensor
+    owned = [weakref.ref(out.values) for out, _, _ in tape._ops[:-1]
+             if out.values.base is None]
+    assert len(owned) > 50
+    backward(tape, loss)
+    assert len(tape.tensors) == size
+    assert all(tape.tensors[i] is None for i in produced)
+    assert all(ref() is None for ref in owned)
+    assert all(np.any(t.grad) for t in binds.values())
 
 
 def test_backward_peak_memory_stays_near_forward_size():
     # on a step-2-shaped block (256 points, K = 12, six levels) the
-    # walk measured a peak of 1.18x the post-forward size; keeping every
+    # walk measured a peak of 1.05x the post-forward size; keeping every
     # gradient and op record to the end, with each weighted gather's (N, K, C)
     # copy held by its closure, measured 1.55x
     positions = RNG(13).uniform(0.0, 16.0, size=(256, 3))
     tracemalloc.start()
     try:
-        tape, loss = _step2_block_tape(positions, stack=True)
+        tape, loss, _, _ = _step2_block_tape(positions, stack=True)
         after_forward = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         backward(tape, loss)

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axcrf.autograd import Tape, backward
+import axcrf.crf
+from axcrf.autograd import Tape, apply, backward
 from axcrf.crf import (AXcrfParams, XcrfLevelParams, axcrf_forward, axcrf_graph,
                        gaussian_filters, grid_search_thetas, predict,
                        xcrf_forward, xcrf_graph)
 from axcrf.neighbors import NeighborIndex, atrous_gather_all
-from refimpl import (DUPLICATE_CLOUDS, random_instance, ref_filters, ref_xcrf,
-                     triple_outer_grid)
+from refimpl import (DUPLICATE_CLOUDS, chain_apply, random_instance, ref_filters,
+                     ref_xcrf, triple_outer_grid)
 
 
 # -- independent reference lives in refimpl.py ------------------------------
@@ -386,6 +387,86 @@ def test_xcrf_gradients_match_finite_differences():
         dW[i, j] = h
         fd = (loss_at(wb, ws, Wc + dW) - loss_at(wb, ws, Wc - dW)) / (2 * h)
         assert abs(g_compat[i, j] - fd) <= 1e-3 * max(1.0, abs(fd))
+
+
+# -- the fused mean-field record against its six-op chain ------------------------------
+
+
+# rows whose maximum is a zero of either sign, mixed zeros, ties, or
+# infinite; the infinite rows spread nan through their neighbors, so they
+# get a case of their own
+SPECIAL_ROWS = {
+    "zeros-and-ties": [[0.0, -1.0, -2.0, -3.0], [-0.0, -1.0, -2.0, -3.0],
+                       [-0.0, 0.0, -1.0, -2.0], [0.0, -0.0, -1.0, -2.0],
+                       [-0.0, -0.0, -0.0, -0.0], [1.5, 1.5, -1.0, 1.5]],
+    "infinite": [[np.inf, 0.0, 1.0, 2.0], [-np.inf] * 4, [-np.inf, 0.5, -np.inf, 0.5]],
+}
+
+
+def _stack_case(cloud, shared, rows):
+    """(U, positions, features, stack, index, coef): six levels at K = 12,
+    r = 5, random weights and compatibilities, U's first rows special."""
+    rng = np.random.default_rng(30)
+    if cloud == "distinct":
+        pos = rng.uniform(0.0, 16.0, size=(512, 3))
+    else:
+        pos = DUPLICATE_CLOUDS[cloud](rng)
+    n = len(pos)
+    feat = rng.normal(size=(n, 2))
+    U = rng.normal(scale=2.0, size=(n, 4))
+    U[:len(SPECIAL_ROWS[rows])] = SPECIAL_ROWS[rows]
+    stack = AXcrfParams.initial(4, K=12, r=5, shared=shared)
+    for lv in stack.levels:
+        lv.bilateral_weight, lv.spatial_weight = rng.normal(scale=1.5, size=2)
+        lv.compat = rng.normal(size=(4, 4)) * (1.0 - np.eye(4))
+    return U, pos, feat, stack, NeighborIndex(pos), rng.normal(size=(n, 4))
+
+
+def _stack_bytes(U, pos, feat, stack, index, coef):
+    """Refined unaries and every leaf gradient (in leaf order), as bytes."""
+    tape = Tape()
+    out, _ = axcrf_graph(tape, tape.leaf(U), pos, feat, stack, index)
+    loss = apply(tape, "sum", [out * tape.leaf(coef)])
+    grads = backward(tape, loss)
+    return out.values.tobytes(), [grads[i].tobytes() for i in sorted(grads)]
+
+
+@pytest.mark.parametrize("rows", list(SPECIAL_ROWS))
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("cloud", ["distinct", *DUPLICATE_CLOUDS])
+def test_mean_field_step_bit_equal_to_six_op_chain(cloud, shared, rows, monkeypatch):
+    case = _stack_case(cloud, shared, rows)
+    with np.errstate(invalid="ignore"):
+        fused_out, fused_grads = _stack_bytes(*case)
+        with monkeypatch.context() as m:
+            m.setattr(axcrf.crf, "apply", chain_apply)
+            chain_out, chain_grads = _stack_bytes(*case)
+    assert fused_out == chain_out
+    # U, coef and per level B_f, S_f and the hollow mask, plus the weights
+    assert len(fused_grads) == len(chain_grads) == 2 + 6 * 3 + (3 if shared else 18)
+    assert fused_grads == chain_grads
+    if rows == "zeros-and-ties":
+        assert np.isfinite(np.frombuffer(fused_out)).all()
+
+
+@pytest.mark.parametrize("cloud", ["distinct", "resampled"])
+def test_collected_states_equal_the_chain_snapshots(cloud, monkeypatch):
+    U, pos, feat, stack, index, _ = _stack_case(cloud, False, "zeros-and-ties")
+    level = stack.levels[2]
+
+    def run():
+        states = []
+        out = xcrf_forward(U, pos, feat, level, index, collect_state=states)
+        return out.tobytes(), [[getattr(s, f).tobytes() for f in
+                                ("U", "U_1", "U_s", "W_u", "U_G", "U_p")]
+                               for s in states]
+
+    fused = run()
+    with monkeypatch.context() as m:
+        m.setattr(axcrf.crf, "apply", chain_apply)
+        chain = run()
+    assert len(fused[1]) == level.r
+    assert fused == chain
 
 
 # -- bandwidth grid search -------------------------------------------------------------

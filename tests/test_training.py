@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from axcrf import training
+from axcrf.autograd import Tape
 from axcrf.crf import AXcrfParams
 from axcrf.model import unary_forward
 from axcrf.neighbors import NeighborIndex
-from axcrf.pointcloud import FeatureScaler, PointCloud, generate_synthetic, slice_blocks
+from axcrf.pointcloud import (FeatureScaler, PointCloud, generate_synthetic, sample_block,
+                              slice_blocks)
 from axcrf.training import (ArtificialLabelSet, CheckpointError, CorruptHeaderError,
                             EarlyStopper, ModelCheckpoint, NumericError, TrainConfig,
                             TruncatedPayloadError, VersionMismatchError,
@@ -292,8 +294,9 @@ def test_non_finite_gradient_raises(step1_run, monkeypatch):
     s = step1_run
     real_backward = training.backward
 
-    def overflowing(tape, loss):
-        return {k: np.full_like(g, np.inf) for k, g in real_backward(tape, loss).items()}
+    def overflowing(tape, loss, wanted=None):
+        return {k: np.full_like(g, np.inf)
+                for k, g in real_backward(tape, loss, wanted=wanted).items()}
 
     monkeypatch.setattr(training, "backward", overflowing)
     with pytest.raises(NumericError, match="gradient"):
@@ -388,6 +391,63 @@ def test_step2_deterministic(step2_run):
     again = train_step2(s.ckpt, s.cloud, s.train_blocks, s.art, s.val_blocks,
                         config=s.config, thetas=(1.0, 0.1, 1.0))
     assert checkpoint_id(again) == checkpoint_id(s.ck2)
+
+
+@pytest.mark.parametrize("update_xcrf", [False, True])
+def test_frozen_stack_block_asks_no_stack_weight_gradient(step2_run, monkeypatch,
+                                                          update_xcrf):
+    # a spy on every op record's backward: with the stack frozen, as in an
+    # artificial-label epoch, no backward is asked for a gradient into a
+    # tensor that only the stack's weights (and constants) reach, nor into
+    # any leaf but the classifier's parameters
+    s = step2_run
+    model, axcrf = s.ck2.model, s.ck2.axcrf
+    idx = sample_block(s.train_blocks[0], s.config.n_sample, 0).sample_indices
+    sorted_idx = training._shared_sort(training._sort_rank(model, axcrf),
+                                       s.cloud.positions[idx])
+    sources, asked, classifier, stack = {}, set(), set(), set()
+    real_record = Tape._record
+
+    def record(tape, inputs, out_values, bk):
+        ids = [t.node_id for t in inputs]
+        if bk is not None:
+            def bk(g, need, real=bk):
+                asked.update(i for i, n in zip(ids, need) if n)
+                return real(g, need)
+        out = real_record(tape, inputs, out_values, bk)
+        sources[out.node_id] = ids
+        return out
+
+    def spy(graph, bound):
+        def run(*args, **kwargs):
+            out, binds = graph(*args, **kwargs)
+            bound.update(t.node_id for t in binds.values())
+            return out, binds
+        return run
+
+    monkeypatch.setattr(Tape, "_record", record)
+    monkeypatch.setattr(training, "unary_graph", spy(training.unary_graph, classifier))
+    monkeypatch.setattr(training, "axcrf_graph", spy(training.axcrf_graph, stack))
+    grads, _, _ = training._block_grads(model, axcrf, s.cloud, s.train_blocks[0],
+                                        idx, sorted_idx, s.cloud.labels,
+                                        np.random.default_rng(0), update_xcrf)
+    monkeypatch.undo()
+
+    reaches_classifier = set(classifier)
+    stack_only = set(stack)
+    for out, ids in sources.items():
+        if reaches_classifier.intersection(ids):
+            reaches_classifier.add(out)
+        elif stack_only.intersection(ids):
+            stack_only.add(out)
+    leaves = {i for ids in sources.values() for i in ids} - set(sources)
+    assert stack and classifier <= leaves and stack <= leaves
+    assert any(name.startswith("xcrf.") for name in grads) == update_xcrf
+    if update_xcrf:
+        assert stack <= asked
+    else:
+        assert not asked & stack_only
+        assert asked & leaves == classifier
 
 
 def test_step2_shared_levels_stay_equal_and_round_trip(step2_run, tmp_path):
