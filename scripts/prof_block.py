@@ -19,10 +19,12 @@ widths 24, six refinement levels at crf K = 12, r = 5):
 Each pass runs the training code's own block routine on a neighbor sort
 made beforehand, as the helper process makes it ahead of training. For
 every kind it prints the minimum and median wall time over all blocks and
-repeats, the op records and tensors on one block's tape, and, from one
-separate tracemalloc pass, the traced size after the forward and the peak
-during the backward. Runs with one BLAS thread and the allocator tuned as
-the command line tunes it.
+repeats and, from one separate tracemalloc pass over one block, a memory
+profile. For the training kinds that is the op records and leaves on the
+block's tape, the traced size after the forward and the peak during the
+backward; for ``eval-forward``, which records nothing, the peak during the
+forward. Runs with one BLAS thread and the allocator tuned as the command
+line tunes it.
 """
 
 import argparse
@@ -87,7 +89,7 @@ def block_pass(kind, cloud, model, stack, block, idx, sorted_idx):
 
 
 def tape_profile(kind, cloud, model, stack, idx, sorted_idx):
-    """(records, tensors, traced MB after the forward, backward peak MB) of
+    """(records, leaves, traced MB after the forward, backward peak MB) of
     one training block's tape, as ``_block_grads`` records it."""
     pos, feat, lab = cloud.positions[idx], cloud.features[idx], cloud.labels[idx]
     tracemalloc.start()
@@ -103,14 +105,25 @@ def tape_profile(kind, cloud, model, stack, idx, sorted_idx):
             if kind == "labeled":
                 binds = {**binds, **xbinds}
         loss = cross_entropy_graph(tape, out, lab)
-        records, tensors = len(tape._ops), len(tape.tensors)
+        records, leaves = len(tape._ops), len(tape.tensors)
         after_forward = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         backward(tape, loss, wanted=binds.values())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return records, tensors, after_forward / 1e6, peak / 1e6
+    return records, leaves, after_forward / 1e6, peak / 1e6
+
+
+def eval_peak(cloud, model, stack, idx, sorted_idx):
+    """Traced peak MB of one block's inference forward."""
+    tracemalloc.start()
+    try:
+        block_pass("eval-forward", cloud, model, stack, None, idx, sorted_idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 1e6
 
 
 def profile(shape, n_blocks, reps, seed):
@@ -120,7 +133,8 @@ def profile(shape, n_blocks, reps, seed):
     print(f"{shape}: {len(samples)} blocks of {samples[0][1].size} samples, "
           f"{members:.0f} members on average, {100 * dup:.0f}% repeated rows")
     print(f"  {'kind':<13}{'min ms':>8}{'median ms':>11}{'records':>9}"
-          f"{'tensors':>9}{'fwd MB':>8}{'bwd peak MB':>13}")
+          f"{'leaves':>9}{'fwd MB':>8}{'peak MB':>9}  (backward peak; "
+          f"forward peak for eval-forward)")
     for kind in KINDS:
         rank = training._sort_rank(model, None if kind == "unary" else stack)
         sorts = [training._shared_sort(rank, cloud.positions[idx]) for _, idx in samples]
@@ -132,10 +146,13 @@ def profile(shape, n_blocks, reps, seed):
                 block_pass(kind, cloud, model, stack, block, idx, sorted_idx)
                 times.append(1e3 * (time.perf_counter() - t))
         line = f"  {kind:<13}{min(times):>8.2f}{statistics.median(times):>11.2f}"
-        if kind != "eval-forward":
-            records, tensors, fwd, peak = tape_profile(kind, cloud, model, stack,
-                                                       samples[0][1], sorts[0])
-            line += f"{records:>9}{tensors:>9}{fwd:>8.2f}{peak:>13.2f}"
+        if kind == "eval-forward":
+            peak = eval_peak(cloud, model, stack, samples[0][1], sorts[0])
+            line += f"{'-':>9}{'-':>9}{'-':>8}{peak:>9.2f}"
+        else:
+            records, leaves, fwd, peak = tape_profile(kind, cloud, model, stack,
+                                                      samples[0][1], sorts[0])
+            line += f"{records:>9}{leaves:>9}{fwd:>8.2f}{peak:>9.2f}"
         print(line, flush=True)
 
 

@@ -8,6 +8,19 @@ by :meth:`Tape.leaf`). Tensors are immutable after creation (except for grad
 population), so forward values are reproducible bit-for-bit in
 single-threaded runs.
 
+The tape holds only what a backward reads. Each record is ``(output id,
+input ids, backward)``: node ids come from a counter on the tape, and
+``Tape.tensors`` lists the leaves alone. An op output therefore lives only
+as long as the graph builder or some backward closure holds it. Each
+closure keeps what its backward reads and nothing more: ``add``,
+``subtract``, ``gather-rows``, ``reshape``, ``sum`` and ``mean`` keep input
+shapes rather than input arrays, and ``affine`` keeps its output only when
+it applies the relu, whose mask the backward reads. A ``Tape(record=False)``
+keeps no record and no leaf: the inference forwards run on one, so their
+intermediates die as soon as the next op has read them, and ``backward``
+on it raises. Recording changes no numpy call, so values are the same
+either way.
+
 The walk computes only the gradients something reads. ``backward`` takes
 the leaves the caller wants, marks every tensor that depends on one of them,
 and tells each op's backward which of its inputs need a gradient; the op
@@ -17,10 +30,9 @@ leaves the loss does not reach do. Every gradient that is computed is
 computed as a walk over all leaves computes it, so wanted gradients do not
 depend on what else is wanted.
 
-The walk consumes the tape: each op record, each op output's gradient and
-the tape's hold on each op output (its ``tensors`` slot becomes None) are
-released once that record has been passed, so op outputs keep ``grad`` None
-and the tape cannot be walked again.
+The walk consumes the tape: each op record, with its closure, and each op
+output's gradient are released once that record has been passed, so op
+outputs keep ``grad`` None and the tape cannot be walked again.
 
 Two records fuse chains of ops, with the same numpy calls in the same order
 as the chain, so values and gradients equal the chain's bit for bit:
@@ -144,28 +156,38 @@ class Tape:
     Construction is single-writer and topologically ordered by definition:
     an operation can only consume tensors that already exist on the tape.
     Exactly one backward pass is allowed per tape, and it consumes the op
-    records and the tape's hold on their outputs.
+    records. ``tensors`` lists the leaves; a record holds node ids, not
+    tensors. With ``record=False`` the tape keeps neither, for forwards
+    whose values are all the caller reads.
     """
 
-    def __init__(self):
-        self.tensors: list[Tensor | None] = []
-        self._ops: list[tuple[Tensor, list[Tensor], object]] = []
+    def __init__(self, record: bool = True):
+        self.record = record
+        self.tensors: list[Tensor] = []
+        self._ops: list[tuple[int, tuple[int, ...], object]] = []
+        self._next_id = 0
         self._backward_done = False
+
+    def _tensor(self, values: np.ndarray) -> Tensor:
+        t = Tensor(self, values, self._next_id)
+        self._next_id += 1
+        return t
 
     def leaf(self, values) -> Tensor:
         """Register a new input tensor (parameter or constant)."""
-        arr = np.asarray(values, dtype=np.float64)
-        t = Tensor(self, arr, len(self.tensors))
-        self.tensors.append(t)
+        t = self._tensor(np.asarray(values, dtype=np.float64))
+        if self.record:
+            self.tensors.append(t)
         return t
 
     def _record(self, inputs: list[Tensor], out_values: np.ndarray, backward_fn) -> Tensor:
         for t in inputs:
             if t.tape is not self:
                 raise ValueError("input tensor belongs to a different record")
-        out = Tensor(self, out_values, len(self.tensors))
-        self.tensors.append(out)
-        self._ops.append((out, inputs, backward_fn))
+        out = self._tensor(out_values)
+        if self.record:
+            self._ops.append((out.node_id, tuple(t.node_id for t in inputs),
+                              backward_fn))
         return out
 
 
@@ -196,10 +218,11 @@ def _op_add(vals, attrs):
     a, b = vals
     _check_broadcast(a, b, "add")
     out = a + b
+    sa, sb = a.shape, b.shape
 
     def bk(g, need):
-        return (_unbroadcast(g, a.shape) if need[0] else None,
-                _unbroadcast(g, b.shape) if need[1] else None)
+        return (_unbroadcast(g, sa) if need[0] else None,
+                _unbroadcast(g, sb) if need[1] else None)
 
     return out, bk
 
@@ -208,10 +231,11 @@ def _op_subtract(vals, attrs):
     a, b = vals
     _check_broadcast(a, b, "subtract")
     out = a - b
+    sa, sb = a.shape, b.shape
 
     def bk(g, need):
-        return (_unbroadcast(g, a.shape) if need[0] else None,
-                _unbroadcast(-g, b.shape) if need[1] else None)
+        return (_unbroadcast(g, sa) if need[0] else None,
+                _unbroadcast(-g, sb) if need[1] else None)
 
     return out, bk
 
@@ -257,13 +281,16 @@ def _op_affine(vals, attrs):
     out += b
     if relu:
         np.maximum(out, 0.0, out=out)
+    # only the relu's mask reads the output
+    kept = out if relu else None
+    sb = b.shape
 
     def bk(g, need):
-        if relu:
+        if kept is not None:
             # out > 0 exactly where the pre-activation is > 0, nan included
-            g = g * (out > 0.0)
+            g = g * (kept > 0.0)
         return (g @ w.T if need[0] else None, x.T @ g if need[1] else None,
-                _unbroadcast(g, b.shape) if need[2] else None)
+                _unbroadcast(g, sb) if need[2] else None)
 
     return out, bk
 
@@ -355,9 +382,10 @@ def _op_log_softmax_rows(vals, attrs):
 def _op_sum(vals, attrs):
     (a,) = vals
     out = np.asarray(a.sum())
+    shape = a.shape
 
     def bk(g, need):
-        return (g * np.ones_like(a),)
+        return (g * np.ones(shape),)
 
     return out, bk
 
@@ -365,10 +393,10 @@ def _op_sum(vals, attrs):
 def _op_mean(vals, attrs):
     (a,) = vals
     out = np.asarray(a.mean())
-    n = a.size
+    shape, n = a.shape, a.size
 
     def bk(g, need):
-        return (g * np.full_like(a, 1.0 / n),)
+        return (g * np.full(shape, 1.0 / n),)
 
     return out, bk
 
@@ -431,9 +459,10 @@ def _op_gather_rows(vals, attrs):
         raise ValueError("gather-rows: input must have at least one axis")
     _check_indices("gather-rows", idx, a.shape[0])
     out = a.take(idx, axis=0)
+    shape = a.shape
 
     def bk(g, need):
-        return (_scatter_rows(a.shape, idx, g),)
+        return (_scatter_rows(shape, idx, g),)
 
     return out, bk
 
@@ -479,9 +508,10 @@ def _op_reshape(vals, attrs):
     if int(np.prod(shape)) != a.size:
         raise ValueError(f"reshape: cannot reshape {a.shape} to {shape}")
     out = a.reshape(shape)
+    in_shape = a.shape
 
     def bk(g, need):
-        return (g.reshape(a.shape),)
+        return (g.reshape(in_shape),)
 
     return out, bk
 
@@ -614,57 +644,58 @@ def backward(tape: Tape, loss: Tensor,
     {node_id: grad array}; unwanted leaves and leaves not reachable from the
     loss get zero gradients.
 
-    The walk consumes the tape: as each op record is passed, the record, its
-    output's gradient and the tape's hold on its output (``tape.tensors``
-    keeps its length, with None in that slot) are dropped, so op outputs
-    keep ``grad`` None and arrays nothing else holds are freed during the
-    walk. Every consumer of a tensor is recorded after its producer, so in
-    reverse recording order a gradient is complete when its producer is
-    reached.
+    The walk consumes the tape: as each op record is passed, the record,
+    with its backward closure, and its output's gradient are dropped, so op
+    outputs keep ``grad`` None and arrays only a closure held are freed
+    during the walk. Every consumer of a tensor is recorded after its
+    producer, so in reverse recording order a gradient is complete when its
+    producer is reached. A tape made with ``record=False`` has nothing to
+    walk and raises ValueError.
     """
     if loss.tape is not tape:
         raise ValueError("loss was not produced on this record")
+    if not tape.record:
+        raise ValueError("backward on a tape made with record=False: it "
+                         "recorded nothing to walk")
     if loss.values.size != 1:
         raise ValueError(f"loss must be a scalar, got shape {loss.shape}")
     if tape._backward_done:
         raise RuntimeError("backward already ran once on this record")
 
-    tensors, ops = tape.tensors, tape._ops
+    leaves, ops = tape.tensors, tape._ops
     if wanted is None:
-        needs = [True] * len(tensors)
+        needs = [True] * tape._next_id
     else:
-        needs = [False] * len(tensors)
+        needs = [False] * tape._next_id
+        leaf_ids = {t.node_id for t in leaves}
         for t in wanted:
             if t.tape is not tape:
                 raise ValueError("wanted tensor is not on this record")
+            if t.node_id not in leaf_ids:
+                raise ValueError("wanted tensors must be leaves")
             needs[t.node_id] = True
-        if any(needs[out.node_id] for out, _, _ in ops):
-            raise ValueError("wanted tensors must be leaves")
     # a tensor needs a gradient when a wanted leaf reaches it through ops
     # that pass gradients
-    for out, inputs, bk in ops:
-        needs[out.node_id] = bk is not None and any(needs[t.node_id] for t in inputs)
+    for out_id, in_ids, bk in ops:
+        needs[out_id] = bk is not None and any(needs[i] for i in in_ids)
     tape._backward_done = True
 
     grads: dict[int, np.ndarray] = {}
     if needs[loss.node_id]:
         grads[loss.node_id] = np.ones_like(loss.values)
     while ops:
-        out, inputs, bk = ops.pop()
-        tensors[out.node_id] = None
-        g = grads.pop(out.node_id, None)
+        out_id, in_ids, bk = ops.pop()
+        g = grads.pop(out_id, None)
         if g is None:
             continue
-        need = tuple(needs[t.node_id] for t in inputs)
-        for t, n, ig in zip(inputs, need, bk(g, need)):
+        need = tuple(needs[i] for i in in_ids)
+        for i, n, ig in zip(in_ids, need, bk(g, need)):
             if n:
-                acc = grads.get(t.node_id)
-                grads[t.node_id] = ig if acc is None else acc + ig
+                acc = grads.get(i)
+                grads[i] = ig if acc is None else acc + ig
 
     result: dict[int, np.ndarray] = {}
-    for t in tensors:
-        if t is None:
-            continue
+    for t in leaves:
         g = grads.get(t.node_id)
         if g is None:
             g = np.zeros_like(t.values)
@@ -685,7 +716,7 @@ def grad_check(fn, point, step: float = 1e-6) -> float:
     point = np.asarray(point, dtype=np.float64)
 
     def eval_at(values) -> float:
-        tape = Tape()
+        tape = Tape(record=False)
         out = fn(tape.leaf(values))
         v = float(out.values)
         if not np.isfinite(v):

@@ -265,7 +265,7 @@ def xcrf_forward(U: np.ndarray, positions: np.ndarray, features: np.ndarray,
     else:
         nbr_idx = _neighbor_indices(neighborhoods, n)
     filters = gaussian_filters(positions, features, nbr_idx, params)
-    tape = Tape()
+    tape = Tape(record=False)
     out = xcrf_graph(tape, tape.leaf(U), filters.B_f, filters.S_f, nbr_idx,
                      tape.leaf(params.bilateral_weight), tape.leaf(params.spatial_weight),
                      tape.leaf(params.compat), params.r, collect=collect_state)
@@ -312,11 +312,12 @@ def axcrf_graph(tape: Tape, U: Tensor, positions: np.ndarray, features: np.ndarr
 def axcrf_forward(U: np.ndarray, positions: np.ndarray, features: np.ndarray,
                   params: AXcrfParams, index: NeighborIndex,
                   sorted_idx: np.ndarray | None = None) -> np.ndarray:
-    """Full stack in inference mode: sum of per-level refinements of U."""
+    """Full stack in inference mode: sum of per-level refinements of U,
+    computed on a tape that records nothing."""
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2 or U.shape[1] != params.n_classes:
         raise ValueError(f"unaries shape {U.shape} does not match {params.n_classes} classes")
-    tape = Tape()
+    tape = Tape(record=False)
     out, _ = axcrf_graph(tape, tape.leaf(U), positions, features, params, index,
                          sorted_idx=sorted_idx)
     return out.values.copy()

@@ -296,8 +296,9 @@ def unary_forward(positions: np.ndarray, features: np.ndarray,
                   params: UnaryModelParams, training: bool = False,
                   dropout_rng: np.random.Generator | None = None,
                   index=None, sorted_idx: np.ndarray | None = None) -> np.ndarray:
-    """Inference-style forward: N x C logits as plain values."""
-    tape = Tape()
+    """Inference-style forward: N x C logits as plain values, computed on
+    a tape that records nothing."""
+    tape = Tape(record=False)
     logits, _ = unary_graph(tape, positions, features, params, training=training,
                             dropout_rng=dropout_rng, index=index,
                             sorted_idx=sorted_idx)
@@ -337,6 +338,6 @@ def cross_entropy_graph(tape: Tape, logits: Tensor, labels: np.ndarray) -> Tenso
 
 
 def cross_entropy(U: np.ndarray, labels: np.ndarray) -> float:
-    tape = Tape()
+    tape = Tape(record=False)
     loss = cross_entropy_graph(tape, tape.leaf(np.asarray(U, dtype=np.float64)), labels)
     return float(loss.values)

@@ -219,17 +219,17 @@ def chain_apply(tape, kind, inputs, **attrs):
 
 
 def full_map_backward(tape, loss):
-    """Reverse pass that keeps the gradient of every tape tensor to the end
-    and leaves the op records in place: {node_id: grad}, zeros where the loss
-    does not reach. Every op is asked for the gradient of every input. Walk
-    and accumulation order match ``autograd.backward``."""
+    """Reverse pass that keeps the gradient of every tape node to the end
+    and leaves the op records in place: {leaf node_id: grad}, zeros where
+    the loss does not reach. Every op is asked for the gradient of every
+    input. Walk and accumulation order match ``autograd.backward``."""
     grads = {loss.node_id: np.ones_like(loss.values)}
-    for out, inputs, bk in reversed(tape._ops):
-        g = grads.get(out.node_id)
+    for out_id, in_ids, bk in reversed(tape._ops):
+        g = grads.get(out_id)
         if g is None or bk is None:
             continue
-        for t, ig in zip(inputs, bk(g, (True,) * len(inputs))):
-            acc = grads.get(t.node_id)
-            grads[t.node_id] = ig if acc is None else acc + ig
+        for i, ig in zip(in_ids, bk(g, (True,) * len(in_ids))):
+            acc = grads.get(i)
+            grads[i] = ig if acc is None else acc + ig
     return {t.node_id: grads.get(t.node_id, np.zeros_like(t.values))
             for t in tape.tensors}

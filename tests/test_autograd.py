@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from axcrf import autograd
 from axcrf.autograd import OP_KINDS, Tape, Tensor, apply, backward, grad_check
-from axcrf.crf import AXcrfParams, axcrf_graph
-from axcrf.model import cross_entropy_graph, init_unary_model, unary_graph
+from axcrf.crf import AXcrfParams, axcrf_forward, axcrf_graph
+from axcrf.model import cross_entropy_graph, init_unary_model, unary_forward, unary_graph
 from axcrf.neighbors import build_index
 import axcrf.model
 from refimpl import DUPLICATE_CLOUDS, chain_apply, full_map_backward
@@ -86,16 +87,18 @@ def test_affine_layers_bit_equal_to_matmul_add_relu_chain(cloud, monkeypatch):
         tape = Tape()
         logits, _ = unary_graph(tape, positions, features, model, training=True,
                                 dropout_rng=RNG(22))
-        grads = backward(tape, cross_entropy_graph(tape, logits, labels))
+        loss = cross_entropy_graph(tape, logits, labels)
+        records = len(tape._ops)
+        grads = backward(tape, loss)
         # leaves are made in the same order on both tapes
-        return (len(tape.tensors), logits.values.tobytes(),
+        return (records, logits.values.tobytes(),
                 [grads[i].tobytes() for i in sorted(grads)])
 
-    fused_size, fused_logits, fused_grads = run()
+    fused_records, fused_logits, fused_grads = run()
     with monkeypatch.context() as m:
         m.setattr(axcrf.model, "apply", chain_apply)
-        chain_size, chain_logits, chain_grads = run()
-    assert fused_size < chain_size
+        chain_records, chain_logits, chain_grads = run()
+    assert fused_records < chain_records
     assert fused_logits == chain_logits
     assert len(fused_grads) == len(chain_grads) > 20
     assert fused_grads == chain_grads
@@ -384,18 +387,24 @@ def test_backward_keeps_leaf_gradients_and_consumes_tape():
     np.testing.assert_array_equal(y.grad, 1.0)
 
 
+def _step2_block_inputs(positions, width, K):
+    """(model, features, labels) of a four-class step-2-shaped block."""
+    rng = RNG(11)
+    features = rng.normal(size=(len(positions), 2))
+    labels = rng.integers(0, 4, size=len(positions))
+    model = init_unary_model(3, C=4, C_in=2, K=K, block_channels=(width, width),
+                             block_strides=(1, 2), C_delta=width // 2,
+                             hidden=width, dropout_rate=0.0, offset_scale=4.0)
+    return model, features, labels
+
+
 def _step2_block_tape(positions, stack, width=24, K=12):
     """A training block shaped like a step-2 one, on a fresh tape: the X-Conv
     classifier and, with ``stack``, the six-level refinement stack at r = 5.
     Deterministic, so two calls record identical tapes. Returns (tape, loss,
     the classifier's bindings, the stack's bindings)."""
     C = 4
-    rng = RNG(11)
-    features = rng.normal(size=(len(positions), 2))
-    labels = rng.integers(0, C, size=len(positions))
-    model = init_unary_model(3, C=C, C_in=2, K=K, block_channels=(width, width),
-                             block_strides=(1, 2), C_delta=width // 2,
-                             hidden=width, dropout_rate=0.0, offset_scale=4.0)
+    model, features, labels = _step2_block_inputs(positions, width, K)
     index = build_index(positions)
     tape = Tape()
     out, binds = unary_graph(tape, positions, features, model, index=index)
@@ -414,8 +423,8 @@ def _check_against_full_map_walk(cloud, stack, wanted):
         positions = DUPLICATE_CLOUDS[cloud](rng)
     want = full_map_backward(*_step2_block_tape(positions, stack, width=8, K=8)[:2])
     tape, loss, binds, xbinds = _step2_block_tape(positions, stack, width=8, K=8)
-    produced = {out.node_id for out, _, _ in tape._ops}
-    leaves = [t for t in tape.tensors if t.node_id not in produced]
+    leaves = list(tape.tensors)
+    assert leaves and not {t.node_id for t in leaves} & {i for i, _, _ in tape._ops}
     read = {"all": leaves, "classifier": list(binds.values()),
             "classifier+stack": [*binds.values(), *xbinds.values()]}[wanted]
     got = backward(tape, loss, wanted=None if wanted == "all" else read)
@@ -460,25 +469,89 @@ def test_wanted_tensors_must_be_leaves_of_the_tape():
     np.testing.assert_array_equal(grads[x.node_id], [0.0, 0.0])
 
 
-def test_backward_frees_op_outputs_as_it_walks():
+def _spy_op_outputs(monkeypatch):
+    """Patch every op kind to log its forwards, holding nothing they made:
+    one dict per op with its kind, attrs, output shape, a weakref to the
+    output array (None for a numpy scalar), whether that array owns its
+    memory and, once the walk reaches an array's op, whether the array was
+    still alive then."""
+    log = []
+
+    def spying(kind, fn):
+        def op(vals, attrs):
+            out, bk = fn(vals, attrs)
+            # a product of 0-d arrays is a numpy scalar, which takes no weakref
+            array = isinstance(out, np.ndarray)
+            entry = {"kind": kind, "attrs": attrs, "shape": out.shape,
+                     "ref": weakref.ref(out) if array else None,
+                     "owned": array and out.base is None, "alive_at_walk": None}
+            log.append(entry)
+            if bk is None:
+                return out, None
+
+            def walked(g, need):
+                entry["alive_at_walk"] = array and entry["ref"]() is not None
+                return bk(g, need)
+            return out, walked
+        return op
+
+    for kind, fn in list(autograd._OPS.items()):
+        monkeypatch.setitem(autograd._OPS, kind, spying(kind, fn))
+    return log
+
+
+def test_backward_frees_op_outputs_as_it_walks(monkeypatch):
+    log = _spy_op_outputs(monkeypatch)
     positions = RNG(13).uniform(0.0, 16.0, size=(64, 3))
     tape, loss, binds, _ = _step2_block_tape(positions, stack=True, width=8, K=8)
-    produced = [out.node_id for out, _, _ in tape._ops]
-    size = len(tape.tensors)
+    assert len(log) == len(tape._ops)
+    leaves = list(tape.tensors)
     # arrays that own their memory; views share it with another tensor
-    owned = [weakref.ref(out.values) for out, _, _ in tape._ops[:-1]
-             if out.values.base is None]
+    owned = [e["ref"] for e in log[:-1] if e["owned"]]
     assert len(owned) > 50
     backward(tape, loss)
-    assert len(tape.tensors) == size
-    assert all(tape.tensors[i] is None for i in produced)
+    assert len(tape.tensors) == len(leaves)
+    assert all(t is leaf and isinstance(t.values, np.ndarray)
+               for t, leaf in zip(tape.tensors, leaves))
     assert all(ref() is None for ref in owned)
     assert all(np.any(t.grad) for t in binds.values())
 
 
+def test_tape_holds_only_what_backward_reads(monkeypatch):
+    log = _spy_op_outputs(monkeypatch)
+    n, K = 64, 8
+    positions = RNG(13).uniform(0.0, 16.0, size=(n, 3))
+    tape, loss, _, _ = _step2_block_tape(positions, stack=True, width=8, K=K)
+    # per X-Conv block: the gathered neighbor features and the lift's
+    # non-relu output, both read by no backward
+    gathered = [e for e in log if e["kind"] == "gather-rows"]
+    lifted = [e for e in log if e["kind"] == "affine" and not e["attrs"].get("relu")
+              and e["shape"][0] == n * K]
+    assert len(gathered) == len(lifted) == 2
+    assert all(e["ref"]() is None for e in gathered + lifted)
+    # lift, xform and conv layers of two blocks, and the head's first layer
+    relu = [e for e in log if e["kind"] == "affine" and e["attrs"].get("relu")]
+    assert len(relu) == 7
+    assert all(e["ref"]() is not None for e in relu)
+    backward(tape, loss)
+    assert all(e["alive_at_walk"] for e in relu)
+    assert all(e["ref"]() is None for e in relu)
+
+
+def test_backward_on_a_non_recording_tape_raises():
+    tape = Tape(record=False)
+    x = tape.leaf([1.0, 2.0])
+    loss = scalar_of((x * x).exp())
+    np.testing.assert_array_equal(loss.values, np.exp(1.0) + np.exp(4.0))
+    assert tape.tensors == [] and tape._ops == []
+    with pytest.raises(ValueError, match="recorded nothing"):
+        backward(tape, loss)
+    assert x.grad is None
+
+
 def test_backward_peak_memory_stays_near_forward_size():
     # on a step-2-shaped block (256 points, K = 12, six levels) the
-    # walk measured a peak of 1.05x the post-forward size; keeping every
+    # walk measured a peak of 1.03x the post-forward size; keeping every
     # gradient and op record to the end, with each weighted gather's (N, K, C)
     # copy held by its closure, measured 1.55x
     positions = RNG(13).uniform(0.0, 16.0, size=(256, 3))
@@ -492,6 +565,31 @@ def test_backward_peak_memory_stays_near_forward_size():
     finally:
         tracemalloc.stop()
     assert peak < 1.3 * after_forward
+
+
+def test_inference_forward_peak_is_well_below_a_recorded_tape():
+    # a step-2 block of 512 distinct points (K = 12, six levels): the
+    # classifier and stack forward on non-recording tapes measured a peak of
+    # 0.52x the recorded tape's size after its forward (6.6 of 12.8 MB)
+    positions = RNG(14).uniform(0.0, 16.0, size=(512, 3))
+    tracemalloc.start()
+    try:
+        tape, loss, _, _ = _step2_block_tape(positions, stack=True)
+        recorded = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del tape, loss
+    model, features, _ = _step2_block_inputs(positions, width=24, K=12)
+    stack = AXcrfParams.initial(4, K=12, r=5)
+    tracemalloc.start()
+    try:
+        index = build_index(positions)
+        U = unary_forward(positions, features, model, index=index)
+        axcrf_forward(U, positions, features, stack, index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.7 * recorded
 
 
 def test_op_kind_registry_covers_required_set():

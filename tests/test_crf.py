@@ -17,6 +17,7 @@ from axcrf.autograd import Tape, apply, backward
 from axcrf.crf import (AXcrfParams, XcrfLevelParams, axcrf_forward, axcrf_graph,
                        gaussian_filters, grid_search_thetas, predict,
                        xcrf_forward, xcrf_graph)
+from axcrf.model import init_unary_model, unary_forward, unary_graph
 from axcrf.neighbors import NeighborIndex, atrous_gather_all
 from refimpl import (DUPLICATE_CLOUDS, chain_apply, random_instance, ref_filters,
                      ref_xcrf, triple_outer_grid)
@@ -467,6 +468,41 @@ def test_collected_states_equal_the_chain_snapshots(cloud, monkeypatch):
         chain = run()
     assert len(fused[1]) == level.r
     assert fused == chain
+
+
+@pytest.mark.parametrize("cloud", ["distinct", *DUPLICATE_CLOUDS])
+def test_inference_forwards_bit_equal_to_recorded_graphs(cloud):
+    # the inference forwards record nothing; their values must not move
+    U, pos, feat, stack, index, _ = _stack_case(cloud, False, "zeros-and-ties")
+    model = init_unary_model(3, C=4, C_in=2, K=12, block_channels=(24, 24),
+                             block_strides=(1, 2), C_delta=12, hidden=24,
+                             dropout_rate=0.0, offset_scale=4.0)
+    tape = Tape()
+    logits, _ = unary_graph(tape, pos, feat, model, index=index)
+    assert tape._ops
+    assert unary_forward(pos, feat, model, index=index).tobytes() == logits.values.tobytes()
+
+    tape = Tape()
+    out, _ = axcrf_graph(tape, tape.leaf(U), pos, feat, stack, index)
+    assert tape._ops
+    assert axcrf_forward(U, pos, feat, stack, index).tobytes() == out.values.tobytes()
+
+    fields = ("U", "U_1", "U_s", "W_u", "U_G", "U_p")
+    for level in stack.levels:
+        nbr_idx, _ = atrous_gather_all(index, level.K, level.D)
+        f = gaussian_filters(pos, feat, nbr_idx, level)
+        tape, recorded = Tape(), []
+        out = xcrf_graph(tape, tape.leaf(U), f.B_f, f.S_f, nbr_idx,
+                         tape.leaf(level.bilateral_weight),
+                         tape.leaf(level.spatial_weight), tape.leaf(level.compat),
+                         level.r, collect=recorded)
+        assert len(tape._ops) > level.r
+        states = []
+        got = xcrf_forward(U, pos, feat, level, index, collect_state=states)
+        assert got.tobytes() == out.values.tobytes()
+        assert len(states) == len(recorded) == level.r
+        assert ([[getattr(s, k).tobytes() for k in fields] for s in states]
+                == [[getattr(s, k).tobytes() for k in fields] for s in recorded])
 
 
 # -- bandwidth grid search -------------------------------------------------------------
