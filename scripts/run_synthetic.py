@@ -36,9 +36,9 @@ def main(argv=None) -> int:
                                       verbose=not args.quiet)
     seconds = report.pop("seconds")
     print(json.dumps(report, indent=2))
-    print(f"# wall time: step1 {seconds['step1']:.1f}s, "
-          f"grid {seconds['grid']:.1f}s, step2 {seconds['step2']:.1f}s, "
-          f"total {seconds['total']:.1f}s", file=sys.stderr)
+    print("# wall time: " + ", ".join(f"{stage} {s:.1f}s"
+                                      for stage, s in seconds.items()),
+          file=sys.stderr)
     print(f"# artifacts in {args.out}", file=sys.stderr)
     return 0
 

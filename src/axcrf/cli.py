@@ -382,7 +382,6 @@ def _cmd_labels(args, file_config):
 def _cmd_refine(args, file_config):
     import numpy as np
     from .pointcloud import read_labels, slice_blocks
-    from .crf import first_thetas
     from .training import (ArtificialLabelSet, checkpoint_id, save_checkpoint,
                            train_step2)
     ckpt = _load_ckpt(args.model)
@@ -422,6 +421,7 @@ def _cmd_refine(args, file_config):
 
     thetas_arg = _merged(args, file_config, "thetas")
     config = _train_config_from(args, file_config, C)
+    thetas = None
     if thetas_arg is not None:
         if isinstance(thetas_arg, str):
             parts = thetas_arg.split(",")
@@ -435,16 +435,12 @@ def _cmd_refine(args, file_config):
         if len(thetas) != 3 or not all(0.0 < t < float("inf") for t in thetas):
             raise CliError(f"--thetas needs three positive numbers alpha,beta,gamma, "
                            f"got {thetas_arg!r}", code=1)
-    else:
-        thetas = first_thetas(config.theta_alpha_candidates,
-                              config.theta_beta_candidates,
-                              config.theta_gamma_candidates)
-        print("bandwidths alpha={} beta={} gamma={} (the first candidates)".format(
-            *thetas), file=sys.stderr)
     refined = train_step2(ckpt, split.labeled, split.train_blocks, artificial,
                           split.val_blocks, config=config, thetas=thetas,
                           slicing=slicing, log_path=_merged(args, file_config, "log"))
     save_checkpoint(refined, args.out)
+    print("bandwidths alpha={} beta={} gamma={}".format(*refined.thetas),
+          file=sys.stderr)
     print(f"best validation OA {refined.best_val_oa:.4f}; refined checkpoint "
           f"written to {args.out}")
     return 0
@@ -524,9 +520,9 @@ def _cmd_synth(args, file_config):
                                    extent=extent, band_height=band_height)
     except ValueError as exc:
         raise CliError(str(exc), code=1) from exc
+    # only a config file drops the labels; no flag sets include_labels
     save_pointcloud(cloud, args.out,
-                    include_labels=bool(_merged(args, file_config,
-                                                "include_labels", True)))
+                    include_labels=bool(file_config.get("include_labels", True)))
     print(f"wrote {cloud.n_points} points ({C} classes) to {args.out}")
     return 0
 
@@ -636,8 +632,6 @@ def build_parser():
     p.add_argument("--extent", type=float, help="xy extent in meters (default 150)")
     p.add_argument("--band-height", dest="band_height", type=float,
                    help="strata band height in meters (default 8)")
-    p.add_argument("--include-labels", dest="include_labels", action="store_true",
-                   default=None)
     return parser
 
 

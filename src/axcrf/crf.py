@@ -364,6 +364,11 @@ def grid_search_thetas(blocks, C: int, D_list=(1, 2, 3, 4, 8, 16), K: int = 64,
     ``blocks`` is a sequence of (U, positions, features, labels, index)
     tuples. Bandwidths stay fixed afterwards; only the filter weights and
     the compatibility matrix train.
+
+    No package code calls this: ``train_step2`` takes ``first_thetas``
+    directly. It stays because the test suite pins the shortcut against
+    the exhaustive search through it, and the benchmark's traced run times
+    it as ``crf.grid_triple_ms``.
     """
     blocks = list(blocks)
     if not blocks:

@@ -1,9 +1,10 @@
 """End-to-end synthetic experiment: generate, slice, train, refine, report.
 
 One function drives the whole two-step protocol on a synthetic cloud for
-the acceptance suite; its data preparation and bandwidth choice are the
-library calls the command line makes too. Every stage is seeded; two runs
-with the same ExperimentConfig are bit-identical.
+the acceptance suite; its data preparation, bandwidth choice and coverage
+votes are the library calls the command line makes too. Both test scores
+come from one vote call that differs only in the attached stack. Every
+stage is seeded; two runs with the same ExperimentConfig are bit-identical.
 """
 
 import json
@@ -15,11 +16,9 @@ import numpy as np
 
 from . import _keep_freed_arrays
 from .metrics import confusion_matrix, scores, format_report
-from .model import unary_forward
 from .pointcloud import PointCloud, generate_synthetic, split_and_slice, write_labels
-from .training import (TrainConfig, evaluate_oa, generate_artificial_labels,
-                       pipeline_vote, save_checkpoint, select_thetas,
-                       train_step1, train_step2)
+from .training import (TrainConfig, generate_artificial_labels, pipeline_vote,
+                       save_checkpoint, train_step1, train_step2)
 
 _SALT_TEST = 808      # one salt for both test evaluations: identical samples,
                       # identical votes, so the step-2 vs step-1 comparison
@@ -82,7 +81,7 @@ def run_synthetic_experiment(config: ExperimentConfig | None = None,
     """Run the full protocol and return the measured numbers.
 
     Returns a dict with step-1/step-2 validation and test overall accuracy,
-    the selected bandwidths, pass counts, and wall-clock seconds per stage.
+    the bandwidths, pass counts, and wall-clock seconds per stage.
     When out_dir is given, checkpoints, training logs, predicted test labels,
     and a JSON report land there.
     """
@@ -121,20 +120,12 @@ def run_synthetic_experiment(config: ExperimentConfig | None = None,
     say(f"step1 best val OA {step1.best_val_oa:.4f} ({t_step1:.0f}s)")
 
     t2 = time.time()
-    step1_test_oa = evaluate_oa(test_c, test_blocks,
-                                lambda p, f: unary_forward(p, f, step1.model),
-                                cfg.n_sample, cfg.seed, salt=_SALT_TEST)
+    pi1, labels1, _ = pipeline_vote(test_c, test_blocks, step1.model, None,
+                                    cfg.n_sample, cfg.seed, salt=_SALT_TEST)
+    step1_test_oa = scores(confusion_matrix(labels1, test_c.labels[pi1],
+                                            cfg.n_classes)).overall_accuracy
     t_eval1 = time.time() - t2
     say(f"step1 test OA {step1_test_oa:.4f}")
-
-    # bandwidths: the first candidates, scored by the frozen unaries'
-    # accuracy on the validation blocks (see crf.grid_search_thetas)
-    t3 = time.time()
-    thetas = select_thetas(step1.model, labeled, val_blocks, step1.config)
-    t_grid = time.time() - t3
-    say(f"thetas alpha={thetas.theta_alpha} beta={thetas.theta_beta} "
-        f"gamma={thetas.theta_gamma} (grid OA {thetas.overall_accuracy:.4f}, "
-        f"{t_grid:.0f}s)")
 
     # artificial labels on the unlabeled view of the test partition
     t4 = time.time()
@@ -145,16 +136,17 @@ def run_synthetic_experiment(config: ExperimentConfig | None = None,
     say(f"artificial labels: {artificial.point_indices.size} points, "
         f"{artificial.passes} passes ({t_labels:.0f}s)")
 
-    # step 2: alternate labeled/artificial epochs with the refinement stack
+    # step 2: alternate labeled/artificial epochs with the refinement stack,
+    # whose bandwidths are the first configured candidates
     t5 = time.time()
     step2 = train_step2(step1, labeled, train_blocks, artificial, val_blocks,
                         config=cfg.train_config(cfg.max_epochs_step2,
                                                 lr=cfg.lr_step2,
                                                 momentum=cfg.momentum_step2),
-                        thetas=thetas,
                         log_path=None if out is None else out / "step2.jsonl")
     t_step2 = time.time() - t5
-    say(f"step2 best val OA {step2.best_val_oa:.4f} ({t_step2:.0f}s)")
+    say("step2 best val OA {:.4f} ({:.0f}s), thetas alpha={} beta={} gamma={}"
+        .format(step2.best_val_oa, t_step2, *step2.thetas))
 
     t6 = time.time()
     pi, pred_labels, _ = pipeline_vote(test_c, test_blocks, step2.model, step2.axcrf,
@@ -172,8 +164,7 @@ def run_synthetic_experiment(config: ExperimentConfig | None = None,
                    "val_blocks": len(val_blocks), "test_blocks": len(test_blocks)},
         "step1_val_oa": step1.best_val_oa,
         "step1_test_oa": step1_test_oa,
-        "thetas": [thetas.theta_alpha, thetas.theta_beta, thetas.theta_gamma],
-        "grid_val_oa": thetas.overall_accuracy,
+        "thetas": list(step2.thetas),
         "artificial_points": int(artificial.point_indices.size),
         "artificial_passes": int(artificial.passes),
         "step2_val_oa": step2.best_val_oa,
@@ -184,8 +175,8 @@ def run_synthetic_experiment(config: ExperimentConfig | None = None,
     # wall-clock numbers stay outside the report so that two seeded runs
     # produce byte-identical report files
     timings = {"setup": t_setup, "step1": t_step1, "eval1": t_eval1,
-               "grid": t_grid, "labels": t_labels, "step2": t_step2,
-               "eval2": t_eval2, "total": time.time() - t0}
+               "labels": t_labels, "step2": t_step2, "eval2": t_eval2,
+               "total": time.time() - t0}
 
     if out is not None:
         save_checkpoint(step1, out / "step1.ckpt")

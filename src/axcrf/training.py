@@ -36,8 +36,7 @@ import numpy as np
 from .autograd import Tape, backward
 from .crf import (THETA_ALPHA_CANDIDATES, THETA_BETA_CANDIDATES,
                   THETA_GAMMA_CANDIDATES, AXcrfParams, XcrfLevelParams,
-                  ThetaGridResult, axcrf_forward, axcrf_graph, grid_search_thetas,
-                  predict)
+                  axcrf_forward, axcrf_graph, first_thetas, predict)
 from .model import (MlpParams, UnaryModelParams, XConvParams, cross_entropy_graph,
                     init_unary_model, named_param_arrays, unary_forward, unary_graph)
 from .neighbors import build_index
@@ -45,10 +44,10 @@ from .pointcloud import Block, FeatureScaler, PointCloud, block_seed, sample_blo
 
 __all__ = [
     "TrainConfig", "ModelCheckpoint", "ArtificialLabelSet", "EarlyStopper",
-    "learning_rate", "train_step1", "select_thetas", "train_step2",
+    "learning_rate", "train_step1", "train_step2",
     "generate_artificial_labels", "save_checkpoint", "load_checkpoint",
     "checkpoint_id", "pipeline_forward", "pipeline_vote",
-    "coverage_vote_predict", "evaluate_oa", "NumericError",
+    "coverage_vote_predict", "NumericError",
     "CheckpointError", "CorruptHeaderError", "TruncatedPayloadError",
     "VersionMismatchError", "MAGIC", "FORMAT_VERSION",
 ]
@@ -67,7 +66,6 @@ _SALT_VAL = 202
 _SALT_LABELS = 303
 _SALT_ORDER = 404
 _SALT_DROPOUT = 505
-_SALT_GRID = 606
 _SALT_PREDICT = 707
 
 
@@ -514,16 +512,6 @@ def _accuracy(cloud: PointCloud, point_indices: np.ndarray, labels: np.ndarray) 
     return float((labels == cloud.labels[point_indices]).mean())
 
 
-def evaluate_oa(cloud: PointCloud, blocks, forward_fn, n_sample: int,
-                global_seed: int, salt: int = _SALT_VAL) -> float:
-    """Overall accuracy of coverage-vote predictions against cloud labels."""
-    if cloud.labels is None:
-        raise ValueError("evaluation needs labeled points")
-    pi, lab, _ = coverage_vote_predict(cloud, blocks, forward_fn, n_sample,
-                                       global_seed, salt)
-    return _accuracy(cloud, pi, lab)
-
-
 def _block_grads(model, axcrf, cloud, block, idx, sorted_idx, labels_dense,
                  dropout_rng, update_xcrf):
     """Forward + backward over one sampled block, given the sample's
@@ -695,28 +683,6 @@ def train_step1(cloud: PointCloud, train_blocks, val_blocks, config: TrainConfig
                            slicing=slicing)
 
 
-def select_thetas(model: UnaryModelParams, cloud: PointCloud, val_blocks,
-                  config: TrainConfig) -> ThetaGridResult:
-    """The stack's bandwidths from ``grid_search_thetas``: the first of each
-    configured candidate list, the triple an exhaustive search with the
-    stack's initial weights keeps. ``overall_accuracy`` is the frozen
-    classifier's unary accuracy on one seeded sample per validation block."""
-    samples = []
-    for b in val_blocks:
-        s = sample_block(b, config.n_sample, block_seed(config.seed, b, _SALT_GRID))
-        idx = s.sample_indices
-        pos, feat = cloud.positions[idx], cloud.features[idx]
-        index = build_index(pos)
-        samples.append((unary_forward(pos, feat, model, index=index), pos, feat,
-                        cloud.labels[idx], index))
-    return grid_search_thetas(samples, config.C, D_list=config.D_list,
-                              K=config.crf_K, r=config.r,
-                              alpha_candidates=config.theta_alpha_candidates,
-                              beta_candidates=config.theta_beta_candidates,
-                              gamma_candidates=config.theta_gamma_candidates,
-                              shared=config.shared_levels)
-
-
 def generate_artificial_labels(checkpoint: ModelCheckpoint, cloud: PointCloud,
                                blocks) -> ArtificialLabelSet:
     """Predict every point of the unlabeled blocks with the validated
@@ -744,9 +710,10 @@ def train_step2(checkpoint: ModelCheckpoint, cloud: PointCloud, train_blocks,
     Runs up to ``max(1, config.max_epochs // 2)`` pairs of one labeled and
     one artificial epoch, so ``max_epochs = 1`` still trains two epochs.
     The gradient-step counter restarts at zero, giving the second step a
-    fresh decay trajectory. ``thetas`` is a ThetaGridResult or a
-    (theta_alpha, theta_beta, theta_gamma) triple. The scaler, and the
-    slicing unless ``slicing`` is given, carry over from ``checkpoint``.
+    fresh decay trajectory. ``thetas`` is a (theta_alpha, theta_beta,
+    theta_gamma) triple; None takes the first of each configured candidate
+    list (``crf.first_thetas``). The scaler, and the slicing unless
+    ``slicing`` is given, carry over from ``checkpoint``.
     """
     config = config if config is not None else checkpoint.config
     train_blocks = list(train_blocks)
@@ -756,10 +723,9 @@ def train_step2(checkpoint: ModelCheckpoint, cloud: PointCloud, train_blocks,
     if cloud.labels is None:
         raise ValueError("step 2 needs a labeled cloud")
     if thetas is None:
-        raise ValueError("theta bandwidths are uninitialized; run the grid "
-                         "search and pass its result before step 2")
-    if isinstance(thetas, ThetaGridResult):
-        thetas = (thetas.theta_alpha, thetas.theta_beta, thetas.theta_gamma)
+        thetas = first_thetas(config.theta_alpha_candidates,
+                              config.theta_beta_candidates,
+                              config.theta_gamma_candidates)
     ta, tb, tg = (float(x) for x in thetas)
     if min(ta, tb, tg) <= 0:
         raise ValueError(f"theta bandwidths must be positive, got {(ta, tb, tg)}")

@@ -68,6 +68,40 @@ def test_synth_rejects_unknown_preset(tmp_path):
     assert code == 1
 
 
+def _no_label_column(rows, default):
+    assert rows.shape[1] == default.shape[1] - 1
+    np.testing.assert_array_equal(rows, default[:, :-1])
+
+
+def _inside_extent(rows, default):
+    assert rows[:, :2].min() >= 0.0 and rows[:, :2].max() < 20.0
+    assert default[:, :2].max() > 20.0
+    np.testing.assert_array_equal(rows[:, -1], default[:, -1])
+
+
+def _bands_of_height(rows, default):
+    # strata: z = label * band height + uniform(0, band height)
+    labels, z = rows[:, -1], rows[:, 2]
+    assert np.all((z >= labels * 2.5 - 1e-6) & (z <= (labels + 1) * 2.5 + 1e-6))
+    assert default[:, 2].max() > 3 * 2.5
+    np.testing.assert_array_equal(labels, default[:, -1])
+
+
+@pytest.mark.parametrize("flags, file_config, check", [
+    ([], {"include_labels": False}, _no_label_column),
+    (["--extent", "20"], {}, _inside_extent),
+    (["--band-height", "2.5"], {}, _bands_of_height),
+], ids=["config-include-labels-false", "extent", "band-height"])
+def test_synth_shape_options(tmp_path, flags, file_config, check):
+    base = ["synth", "--n", "200", "--classes", "3", "--noise", "0.1", "--seed", "1"]
+    assert dispatch(base + ["--out", str(tmp_path / "default.txt")]) == 0
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(file_config))
+    assert dispatch(base + ["--out", str(tmp_path / "x.txt"), "--config", str(cfg)]
+                    + flags) == 0
+    check(np.loadtxt(tmp_path / "x.txt"), np.loadtxt(tmp_path / "default.txt"))
+
+
 # -- config files -----------------------------------------------------------
 
 

@@ -1,5 +1,5 @@
 """The helper process: it is always joined, it dies with its caller, its
-errors keep their type, and its sorts equal the in-process ones."""
+errors keep their type, and its sorts and votes equal the in-process ones."""
 
 import os
 import subprocess
@@ -11,8 +11,13 @@ import numpy as np
 import pytest
 
 from axcrf import training
+from axcrf.crf import AXcrfParams
 from axcrf.experiment import run_synthetic_experiment
-from axcrf.training import NumericError, TrainConfig, _Helper, _shared_sort, train_step1
+from axcrf.model import init_unary_model, unary_forward
+from axcrf.pointcloud import Block, PointCloud
+from axcrf.training import (NumericError, TrainConfig, _Helper, _shared_sort,
+                            coverage_vote_predict, pipeline_forward, pipeline_vote,
+                            train_step1)
 from refimpl import DUPLICATE_CLOUDS
 from test_experiment import ARTIFACTS, MINI
 from test_training import TINY, tiny_setup
@@ -172,10 +177,56 @@ def test_mini_recipe_is_byte_identical_without_the_helper_process(tmp_path, fork
                                                                   monkeypatch):
     # the in-process transport is the reference the forked helper must match
     run_synthetic_experiment(MINI, out_dir=tmp_path / "forked")
-    assert len(forked) == 4     # step 1, labels, step 2, test prediction
+    assert len(forked) == 5     # step 1, both test votes, labels, step 2
     monkeypatch.setattr(training, "_FORK", False)
     run_synthetic_experiment(MINI, out_dir=tmp_path / "in_process")
-    assert len(forked) == 4
+    assert len(forked) == 5
     for name in sorted(ARTIFACTS):
         assert (tmp_path / "forked" / name).read_bytes() == \
             (tmp_path / "in_process" / name).read_bytes(), name
+
+
+def _vote_setup(name):
+    """(cloud, blocks, n_sample, salt) whose coverage vote runs an odd
+    number of passes, so the two processes forward uneven halves."""
+    if name == "tiny":
+        cloud, blocks, _ = tiny_setup()
+        return cloud, blocks, 48, 7
+    rng = np.random.default_rng(5)
+    positions = DUPLICATE_CLOUDS[name](rng)
+    n = len(positions)
+    cloud = PointCloud(positions, rng.normal(size=(n, 2)), rng.integers(0, 3, n), 3)
+    return cloud, [Block((0.0, 0.0), 4.0, np.arange(n))], 96, 11
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
+@pytest.mark.parametrize("stack", [False, True], ids=["unary", "stack"])
+@pytest.mark.parametrize("setup", ["tiny", "resampled"])
+def test_pipeline_vote_equals_the_in_process_reference(setup, stack, fork, forked,
+                                                       monkeypatch):
+    if fork and not training._FORK:
+        pytest.skip("no os.fork here")
+    monkeypatch.setattr(training, "_FORK", fork)
+    cloud, blocks, n_sample, salt = _vote_setup(setup)
+    model = init_unary_model(seed=3, C=cloud.C, C_in=cloud.n_features, K=4,
+                             block_channels=(6, 6), block_strides=(1, 2), C_delta=4,
+                             hidden=6, dropout_rate=0.0, offset_scale=4.0)
+    # the stack reads rank 16, deeper than the classifier's 8
+    axcrf = AXcrfParams.initial(cloud.C, D_list=(1, 4), K=4, r=2) if stack else None
+    got = pipeline_vote(cloud, blocks, model, axcrf, n_sample, 0, salt)
+    assert len(forked) == (1 if fork else 0)
+    want = coverage_vote_predict(cloud, blocks,
+                                 lambda p, f: pipeline_forward(model, axcrf, p, f),
+                                 n_sample, 0, salt)
+    assert got[2] == want[2] and want[2] % 2 == 1
+    assert np.unique(want[1]).size > 1, "a one-class vote would hide a mix-up"
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    if axcrf is None:
+        # unary_forward sorts at model.max_neighbor_rank on its own, the
+        # rank pipeline_vote sorts at without a stack
+        old = coverage_vote_predict(cloud, blocks, lambda p, f: unary_forward(p, f, model),
+                                    n_sample, 0, salt)
+        for a, b in zip(got[:2], old[:2]):
+            np.testing.assert_array_equal(a, b)

@@ -11,7 +11,7 @@ import pytest
 
 from axcrf import training
 from axcrf.autograd import Tape
-from axcrf.crf import AXcrfParams
+from axcrf.crf import AXcrfParams, first_thetas
 from axcrf.model import unary_forward
 from axcrf.neighbors import NeighborIndex
 from axcrf.pointcloud import (FeatureScaler, PointCloud, generate_synthetic, sample_block,
@@ -19,7 +19,7 @@ from axcrf.pointcloud import (FeatureScaler, PointCloud, generate_synthetic, sam
 from axcrf.training import (ArtificialLabelSet, CheckpointError, CorruptHeaderError,
                             EarlyStopper, ModelCheckpoint, NumericError, TrainConfig,
                             TruncatedPayloadError, VersionMismatchError,
-                            checkpoint_id, coverage_vote_predict, evaluate_oa,
+                            checkpoint_id, coverage_vote_predict,
                             generate_artificial_labels, learning_rate,
                             load_checkpoint, pipeline_forward, save_checkpoint,
                             train_step1, train_step2)
@@ -153,7 +153,7 @@ def test_coverage_vote_deterministic():
     assert a[2] == b[2]
 
 
-def test_evaluate_oa_against_known_labels():
+def test_coverage_vote_against_known_labels():
     cloud, train_blocks, _ = tiny_setup()
     C = cloud.C
 
@@ -165,10 +165,10 @@ def test_evaluate_oa_against_known_labels():
         U[np.arange(len(lab)), lab] = 5.0
         return U
 
-    assert evaluate_oa(cloud, train_blocks, oracle_fwd, 32, 0) == 1.0
-    unlabeled = PointCloud(cloud.positions, cloud.features, None, cloud.C)
-    with pytest.raises(ValueError):
-        evaluate_oa(unlabeled, train_blocks, oracle_fwd, 32, 0)
+    pi, labels, _ = coverage_vote_predict(cloud, train_blocks, oracle_fwd, 32, 0,
+                                          salt=training._SALT_VAL)
+    np.testing.assert_array_equal(labels, cloud.labels[pi])
+    assert training._accuracy(cloud, pi, labels) == 1.0
 
 
 # -- step 1 ------------------------------------------------------------------------------
@@ -251,9 +251,10 @@ def test_step1_sorts_each_validation_pass_once(step1_run, monkeypatch, tmp_path)
     assert count == epochs * len(s.train_blocks) + passes
     assert processes == (2 if training._FORK else 1)
     # the stored sorts score the returned model as a fresh evaluation does
-    assert ckpt.best_val_oa == evaluate_oa(
+    pi, labels, _ = coverage_vote_predict(
         s.cloud, s.val_blocks, lambda p, f: unary_forward(p, f, ckpt.model),
-        s.config.n_sample, s.config.seed)
+        s.config.n_sample, s.config.seed, salt=training._SALT_VAL)
+    assert ckpt.best_val_oa == training._accuracy(s.cloud, pi, labels)
 
 
 def test_step2_sorts_each_sample_once_per_epoch_and_each_pass_per_evaluation(
@@ -376,11 +377,18 @@ def test_step2_never_returns_worse_than_baseline(step2_run):
     assert step2_run.ck2.best_val_oa >= lines[0]["val_oa"]
 
 
-def test_step2_requires_thetas_and_rejects_bad_ones(step2_run):
+def test_step2_defaults_to_first_thetas_and_rejects_bad_ones(step2_run):
     s = step2_run
-    with pytest.raises(ValueError, match="grid"):
-        train_step2(s.ckpt, s.cloud, s.train_blocks, s.art, s.val_blocks,
-                    config=s.config)
+    config = dataclasses.replace(s.config, theta_alpha_candidates=(2.0, 0.5),
+                                 theta_beta_candidates=(0.25, 0.1),
+                                 theta_gamma_candidates=(4.0, 1.0))
+    ck = train_step2(s.ckpt, s.cloud, s.train_blocks, s.art, s.val_blocks,
+                     config=config)
+    want = first_thetas(config.theta_alpha_candidates, config.theta_beta_candidates,
+                        config.theta_gamma_candidates)
+    assert want == (2.0, 0.25, 4.0) and ck.thetas == want
+    for lv in ck.axcrf.levels:
+        assert (lv.theta_alpha, lv.theta_beta, lv.theta_gamma) == want
     with pytest.raises(ValueError):
         train_step2(s.ckpt, s.cloud, s.train_blocks, s.art, s.val_blocks,
                     config=s.config, thetas=(0.0, 0.1, 1.0))
