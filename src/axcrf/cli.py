@@ -58,6 +58,19 @@ def _thread_count(text):
     return n
 
 
+def _theta_triple(text):
+    """argparse type for --thetas: three positive finite numbers a,b,c."""
+    try:
+        thetas = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        thetas = ()
+    # the chained comparison is false for nan as well
+    if len(thetas) != 3 or not all(0.0 < t < float("inf") for t in thetas):
+        raise argparse.ArgumentTypeError(
+            f"expected three positive numbers alpha,beta,gamma, got {text!r}")
+    return thetas
+
+
 class CliError(Exception):
     """Carries the process exit code for expected failures."""
 
@@ -66,22 +79,30 @@ class CliError(Exception):
         self.code = code
 
 
-# flat configuration namespace: TrainConfig fields plus artifact plumbing
-_TRAIN_KEYS = ("lr", "lr_decay", "lr_decay_every", "lr_floor", "momentum",
-               "batch_blocks", "patience", "max_epochs", "seed", "n_sample",
-               "K", "block_channels", "block_strides", "C_delta", "hidden",
-               "dropout_rate", "offset_scale", "D_list", "crf_K", "r",
-               "shared_levels", "theta_alpha_candidates",
-               "theta_beta_candidates", "theta_gamma_candidates", "C")
-_PLUMBING_KEYS = ("input", "out", "model", "log", "columns", "column_map",
-                  "preset", "block", "shift", "min_points", "val_fraction",
-                  "tile", "threads", "classes", "noise", "n", "extent",
-                  "band_height", "skip_header", "artificial_input",
-                  "artificial_labels", "thetas", "machine", "include_labels")
-_KNOWN_KEYS = set(_TRAIN_KEYS) | set(_PLUMBING_KEYS)
+# settings a config file gives that no flag takes; a subcommand reads the
+# ones its parser declares with set_defaults
+_TRAIN_CONFIG_ONLY = ("block_channels", "block_strides", "D_list", "shared_levels",
+                      "theta_alpha_candidates", "theta_beta_candidates",
+                      "theta_gamma_candidates")
+_CONFIG_ONLY = _TRAIN_CONFIG_ONLY + ("include_labels",)
 
 
-def _load_config_file(path):
+def _config_flags(parser):
+    """{config key: action} of a subcommand's optional flags."""
+    return {a.dest: a for a in parser._actions
+            if a.option_strings and not a.required
+            and a.dest not in ("help", "config", "threads")}
+
+
+def _config_keys(subparsers):
+    """Every key a config file may hold, whichever subcommand runs."""
+    return set(_CONFIG_ONLY).union(*map(_config_flags, subparsers.values()))
+
+
+def _config_argv(path, subparsers, command):
+    """The config file's settings for ``command``: its flag values as
+    ``--flag=value`` arguments, and its config-only values. A key that only
+    another subcommand takes is ignored; null leaves a setting unset."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -91,28 +112,43 @@ def _load_config_file(path):
         raise CliError(f"config file {path} is not valid JSON: {exc}", code=1) from exc
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must hold a JSON object", code=1)
-    for key in data:
-        if key not in _KNOWN_KEYS:
-            raise CliError(f"config file {path}: unknown key {key!r}", code=1)
     if "threads" in data:
         # a thread cap only holds if set before numpy loads, which is before
         # any config file is read
         raise CliError(f"config file {path}: 'threads' cannot be set in a config "
                        "file; pass --threads on the command line", code=1)
-    return data
+    unknown = sorted(set(data) - _config_keys(subparsers))
+    if unknown:
+        raise CliError(f"config file {path}: unknown key {unknown[0]!r}", code=1)
+    flags = _config_flags(subparsers[command])
+    argv = []
+    for key, value in data.items():
+        if key not in flags or value is None:
+            continue
+        flag = flags[key].option_strings[0]
+        if flags[key].nargs == 0:           # a switch
+            if not isinstance(value, bool):
+                raise CliError(f"config file {path}: {key!r} must be true or false, "
+                               f"got {value!r}", code=1)
+            argv += [flag] if value else []
+        elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise CliError(f"config file {path}: {key!r} must be a string or a "
+                           f"number, got {value!r}", code=1)
+        else:
+            argv.append(f"{flag}={value}")
+    return argv, {k: v for k, v in data.items() if k in _CONFIG_ONLY and v is not None}
 
 
 def _parse_columns(text):
-    """Parse 'x=0,y=1,z=2,features=3:5,label=6' into a column map.
-
-    features accepts a half-open range a:b or explicit indices a+b+c.
-    """
+    """argparse type for --columns: 'x=0,y=1,z=2,features=3:5,label=6' as a
+    column map. features accepts a half-open range a:b or explicit indices
+    a+b+c."""
     cmap = {}
     for part in text.split(","):
         key, sep, value = part.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
-            raise CliError(f"malformed column assignment {part!r}", code=1)
+            raise argparse.ArgumentTypeError(f"malformed column assignment {part!r}")
         try:
             if key == "features":
                 if ":" in value:
@@ -123,9 +159,10 @@ def _parse_columns(text):
             elif key in ("x", "y", "z", "label"):
                 cmap[key] = _column_index(value)
             else:
-                raise CliError(f"unknown column role {key!r}", code=1)
+                raise argparse.ArgumentTypeError(f"unknown column role {key!r}")
         except ValueError as exc:
-            raise CliError(f"malformed column assignment {part!r}", code=1) from exc
+            raise argparse.ArgumentTypeError(
+                f"malformed column assignment {part!r}") from exc
     return cmap
 
 
@@ -133,12 +170,15 @@ def _column_index(text):
     # Python indexing would silently read a negative index from the end
     index = int(text)
     if index < 0:
-        raise CliError(f"negative column index {index}", code=1)
+        raise argparse.ArgumentTypeError(f"negative column index {index}")
     return index
 
 
-def _default_columns(path, labeled):
-    """x y z f... [label] layout inferred from the first data line."""
+def _columns(args, labeled, path):
+    """The --columns map, else the x y z f... [label] layout inferred from
+    the first data line."""
+    if args.columns:
+        return dict(args.columns)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -162,79 +202,28 @@ def _default_columns(path, labeled):
     return cmap
 
 
-def _check_column_map(cmap):
-    """A config-file column_map by the roles --columns takes: x, y, z and
-    label as integer column indices, features as a list of them. A negative
-    index is a usage error here, as it is in --columns."""
-    if not isinstance(cmap, dict):
-        raise CliError(f"column_map must be a JSON object of column roles, "
-                       f"got {cmap!r}", code=1)
-
-    def is_index(v):
-        return isinstance(v, int) and not isinstance(v, bool)
-
-    for key, value in cmap.items():
-        if key == "features":
-            if not (isinstance(value, list) and all(is_index(v) for v in value)):
-                raise CliError(f"column_map: 'features' must be a list of integer "
-                               f"column indices, got {value!r}", code=1)
-        elif key in ("x", "y", "z", "label"):
-            if not is_index(value):
-                raise CliError(f"column_map: {key!r} must be an integer column "
-                               f"index, got {value!r}", code=1)
-        else:
-            raise CliError(f"column_map: unknown column role {key!r}", code=1)
-        for v in value if key == "features" else [value]:
-            if v < 0:
-                raise CliError(f"column_map: negative column index {v} for {key!r}",
-                               code=1)
-    return dict(cmap)
-
-
-def _resolve_columns(args, file_config, labeled, path):
-    if getattr(args, "columns", None):
-        return _parse_columns(args.columns)
-    if "columns" in file_config:
-        return _parse_columns(file_config["columns"])
-    if "column_map" in file_config:
-        return _check_column_map(file_config["column_map"])
-    return _default_columns(path, labeled)
-
-
-def _merged(args, file_config, key, default=None):
-    """Flag wins over config file; config file wins over the default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in file_config:
-        return file_config[key]
-    return default
-
-
-def _log_resolved(subcommand, resolved):
-    printable = {k: v for k, v in sorted(resolved.items()) if v is not None}
-    print(f"resolved config [{subcommand}]: {json.dumps(printable, default=str)}",
+def _log_resolved(args):
+    printable = {k: v for k, v in sorted(vars(args).items())
+                 if v is not None and k != "command"}
+    print(f"resolved config [{args.command}]: {json.dumps(printable, default=str)}",
           file=sys.stderr)
 
 
-def _train_config_from(args, file_config, C):
+def _train_config_from(args, C):
+    """The TrainConfig of ``args``; a setting left unset keeps its default."""
+    from dataclasses import fields
     from .training import TrainConfig
-    kwargs = {"C": C}
-    for key in _TRAIN_KEYS:
-        if key == "C":
-            continue
-        value = _merged(args, file_config, key)
-        if value is not None:
-            kwargs[key] = tuple(value) if isinstance(value, list) else value
+    values = vars(args)
+    kwargs = {f.name: values[f.name] for f in fields(TrainConfig)
+              if values.get(f.name) is not None}
     try:
-        return TrainConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+        return TrainConfig(**{**kwargs, "C": C})
+    except ValueError as exc:
         raise CliError(f"bad training configuration: {exc}", code=1) from exc
 
 
-def _load_cloud(path, cmap, C, args, file_config):
+def _load_cloud(path, cmap, C, skip_header):
     from .pointcloud import load_pointcloud
-    skip_header = bool(_merged(args, file_config, "skip_header", False))
     try:
         return load_pointcloud(path, cmap, C, skip_header=skip_header)
     except OSError as exc:
@@ -243,13 +232,13 @@ def _load_cloud(path, cmap, C, args, file_config):
         raise CliError(str(exc)) from exc
 
 
-def _load_unlabeled(path, args, file_config, ckpt=None):
+def _load_unlabeled(path, args, ckpt=None):
     """A point file read without its label column, in the feature scale of
     ``ckpt`` when one is given."""
-    cmap = _resolve_columns(args, file_config, labeled=False, path=path)
+    cmap = _columns(args, labeled=False, path=path)
     cmap.pop("label", None)
     cloud = _load_cloud(path, cmap, 2 if ckpt is None else ckpt.config.C,
-                        args, file_config)
+                        args.skip_header)
     if ckpt is not None and ckpt.scaler is not None:
         cloud = ckpt.scaler.apply(cloud)
     return cloud
@@ -265,21 +254,19 @@ def _load_ckpt(path):
         raise CliError(f"checkpoint {path}: {exc}") from exc
 
 
-def _slicing(args, file_config, ckpt=None, min_points=None):
+def _slicing(args, ckpt=None):
     """(side, shift, min_points) of the slicing grid.
 
-    Each value comes from its flag, else the config file, else the slicing
-    ``ckpt`` recorded, else 25 m, side/2 and 64. A side given without a
-    shift shifts by half of it. ``min_points`` replaces the recorded or
-    built-in floor."""
+    Each value comes from its flag, else the slicing ``ckpt`` recorded, else
+    25 m, side/2 and 64. A side given without a shift shifts by half of it."""
     recorded = None if ckpt is None else ckpt.slicing
-    side, shift, floor = recorded or (25.0, 12.5, 64)
-    if _merged(args, file_config, "block") is not None:
-        side = float(_merged(args, file_config, "block"))
-        shift = side / 2.0
-    shift = float(_merged(args, file_config, "shift", shift))
-    min_points = int(_merged(args, file_config, "min_points",
-                             floor if min_points is None else min_points))
+    side, shift, min_points = recorded or (25.0, 12.5, 64)
+    if args.block is not None:
+        side, shift = args.block, args.block / 2.0
+    if args.shift is not None:
+        shift = args.shift
+    if args.min_points is not None:
+        min_points = args.min_points
     # the chained comparisons are false for nan as well
     if not 0.0 < side < float("inf"):
         raise CliError(f"block side must be positive and finite, got {side}", code=1)
@@ -290,27 +277,27 @@ def _slicing(args, file_config, ckpt=None, min_points=None):
     return side, shift, min_points
 
 
-def _split_labeled(args, file_config, C, missing_label, ckpt=None):
+def _split_labeled(args, config, missing_label, ckpt=None):
     """Load the labeled --input and tile-split it into sliced train and
     validation parts, normalized with ``ckpt``'s scaler when it has one;
     returns (split, slicing)."""
     from .pointcloud import split_and_slice
 
-    cmap = _resolve_columns(args, file_config, labeled=True, path=args.input)
+    cmap = _columns(args, labeled=True, path=args.input)
     if "label" not in cmap:
         raise CliError(missing_label)
-    cloud = _load_cloud(args.input, cmap, C, args, file_config)
-    val_fraction = float(_merged(args, file_config, "val_fraction", 0.2))
-    if not 0 < val_fraction < 1:
-        raise CliError(f"val_fraction must be in (0, 1), got {val_fraction}", code=1)
-    tile = float(_merged(args, file_config, "tile", 10.0))
+    cloud = _load_cloud(args.input, cmap, config.C, args.skip_header)
+    if not 0 < args.val_fraction < 1:
+        raise CliError(f"val_fraction must be in (0, 1), got {args.val_fraction}",
+                       code=1)
     # the chained comparison is false for nan as well
-    if not 0.0 < tile < float("inf"):
-        raise CliError(f"tile must be a positive finite number, got {tile}", code=1)
-    side, shift, min_points = _slicing(args, file_config, ckpt)
-    split = split_and_slice(cloud, tile_side=tile,
-                            fractions=(1.0 - val_fraction, val_fraction),
-                            seed=int(_merged(args, file_config, "seed", 0)),
+    if not 0.0 < args.tile < float("inf"):
+        raise CliError(f"tile must be a positive finite number, got {args.tile}",
+                       code=1)
+    side, shift, min_points = _slicing(args, ckpt)
+    split = split_and_slice(cloud, tile_side=args.tile,
+                            fractions=(1.0 - args.val_fraction, args.val_fraction),
+                            seed=config.seed,
                             side=side, shift=shift, min_points=min_points,
                             scaler=None if ckpt is None else ckpt.scaler)
     if not split.train_blocks or not split.val_blocks:
@@ -322,10 +309,10 @@ def _split_labeled(args, file_config, C, missing_label, ckpt=None):
 # subcommand bodies
 
 
-def _cmd_slice(args, file_config):
+def _cmd_slice(args):
     from .pointcloud import slice_blocks
-    cloud = _load_unlabeled(args.input, args, file_config)
-    side, shift, min_points = _slicing(args, file_config)
+    cloud = _load_unlabeled(args.input, args)
+    side, shift, min_points = _slicing(args)
     blocks = slice_blocks(cloud, side=side, shift=shift, min_points=min_points)
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -344,30 +331,27 @@ def _cmd_slice(args, file_config):
     return 0
 
 
-def _cmd_train(args, file_config):
+def _cmd_train(args):
     from .training import train_step1, save_checkpoint
-    C = _merged(args, file_config, "classes") or _merged(args, file_config, "C")
-    if C is None:
+    if args.classes is None:
         raise CliError("train needs --classes", code=1)
-    C = int(C)
-    split, slicing = _split_labeled(args, file_config, C,
+    config = _train_config_from(args, args.classes)
+    split, slicing = _split_labeled(args, config,
                                     "train needs a label column; add label= to --columns")
-    config = _train_config_from(args, file_config, C)
     ckpt = train_step1(split.labeled, split.train_blocks, split.val_blocks, config,
-                       scaler=split.scaler, slicing=slicing,
-                       log_path=_merged(args, file_config, "log"))
+                       scaler=split.scaler, slicing=slicing, log_path=args.log)
     save_checkpoint(ckpt, args.out)
     print(f"best validation OA {ckpt.best_val_oa:.4f} at iteration "
           f"{ckpt.iteration}; checkpoint written to {args.out}")
     return 0
 
 
-def _cmd_labels(args, file_config):
+def _cmd_labels(args):
     from .pointcloud import slice_blocks, write_labels
     from .training import generate_artificial_labels
     ckpt = _load_ckpt(args.model)
-    cloud = _load_unlabeled(args.input, args, file_config, ckpt)
-    side, shift, min_points = _slicing(args, file_config, ckpt)
+    cloud = _load_unlabeled(args.input, args, ckpt)
+    side, shift, min_points = _slicing(args, ckpt)
     blocks = slice_blocks(cloud, side=side, shift=shift, min_points=min_points)
     if not blocks:
         raise CliError("no blocks survived slicing; lower --min-points")
@@ -379,23 +363,22 @@ def _cmd_labels(args, file_config):
     return 0
 
 
-def _cmd_refine(args, file_config):
+def _cmd_refine(args):
     import numpy as np
     from .pointcloud import read_labels, slice_blocks
-    from .training import (ArtificialLabelSet, checkpoint_id, save_checkpoint,
-                           train_step2)
+    from .training import ArtificialLabelSet, save_checkpoint, train_step2
     ckpt = _load_ckpt(args.model)
     C = ckpt.config.C
-    split, slicing = _split_labeled(args, file_config, C,
+    config = _train_config_from(args, C)
+    split, slicing = _split_labeled(args, config,
                                     "refine needs a labeled cloud; add label= to "
                                     "--columns", ckpt)
 
-    art_path = _merged(args, file_config, "artificial_input")
-    lab_path = _merged(args, file_config, "artificial_labels")
+    art_path, lab_path = args.artificial_input, args.artificial_labels
     if art_path is None or lab_path is None:
         raise CliError("refine needs --artificial-input and --artificial-labels",
                        code=1)
-    art_cloud = _load_unlabeled(art_path, args, file_config, ckpt)
+    art_cloud = _load_unlabeled(art_path, args, ckpt)
     try:
         dense = read_labels(lab_path)
     except (OSError, ValueError) as exc:
@@ -416,28 +399,10 @@ def _cmd_refine(args, file_config):
                        "regenerate them with the same slicing parameters")
     pi = np.flatnonzero(members)
     artificial = ArtificialLabelSet(cloud=art_cloud, blocks=art_blocks,
-                                    point_indices=pi, labels=dense[pi],
-                                    checkpoint_id=checkpoint_id(ckpt), passes=0)
-
-    thetas_arg = _merged(args, file_config, "thetas")
-    config = _train_config_from(args, file_config, C)
-    thetas = None
-    if thetas_arg is not None:
-        if isinstance(thetas_arg, str):
-            parts = thetas_arg.split(",")
-        else:
-            parts = list(thetas_arg)
-        try:
-            thetas = tuple(float(p) for p in parts)
-        except (TypeError, ValueError):
-            thetas = ()
-        # the chained comparison is false for nan as well
-        if len(thetas) != 3 or not all(0.0 < t < float("inf") for t in thetas):
-            raise CliError(f"--thetas needs three positive numbers alpha,beta,gamma, "
-                           f"got {thetas_arg!r}", code=1)
+                                    point_indices=pi, labels=dense[pi], passes=0)
     refined = train_step2(ckpt, split.labeled, split.train_blocks, artificial,
-                          split.val_blocks, config=config, thetas=thetas,
-                          slicing=slicing, log_path=_merged(args, file_config, "log"))
+                          split.val_blocks, config=config, thetas=args.thetas,
+                          slicing=slicing, log_path=args.log)
     save_checkpoint(refined, args.out)
     print("bandwidths alpha={} beta={} gamma={}".format(*refined.thetas),
           file=sys.stderr)
@@ -446,14 +411,13 @@ def _cmd_refine(args, file_config):
     return 0
 
 
-def _cmd_predict(args, file_config):
+def _cmd_predict(args):
     import numpy as np
     from .pointcloud import slice_blocks, write_labels
     from .training import _SALT_PREDICT, pipeline_vote
     ckpt = _load_ckpt(args.model)
-    cloud = _load_unlabeled(args.input, args, file_config, ckpt)
-    # every input line must receive a label, so sparse blocks are kept
-    side, shift, min_points = _slicing(args, file_config, ckpt, min_points=1)
+    cloud = _load_unlabeled(args.input, args, ckpt)
+    side, shift, min_points = _slicing(args, ckpt)
     blocks = slice_blocks(cloud, side=side, shift=shift, min_points=min_points)
     if not blocks:
         raise CliError("no blocks to predict on")
@@ -471,22 +435,21 @@ def _cmd_predict(args, file_config):
     return 0
 
 
-def _cmd_eval(args, file_config):
+def _cmd_eval(args):
     import numpy as np
     from .metrics import confusion_matrix, format_report, scores
     from .pointcloud import read_labels
-    C = _merged(args, file_config, "classes")
+    C = args.classes
     if C is None:
         raise CliError("eval needs --classes", code=1)
-    C = int(C)
     try:
         pred = read_labels(args.pred)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read predictions {args.pred}: {exc}") from exc
-    cmap = _resolve_columns(args, file_config, labeled=True, path=args.truth)
+    cmap = _columns(args, labeled=True, path=args.truth)
     if "label" not in cmap:
         raise CliError("eval needs a label column in the truth file")
-    truth = _load_cloud(args.truth, cmap, C, args, file_config).labels
+    truth = _load_cloud(args.truth, cmap, C, args.skip_header).labels
     if pred.size != truth.size:
         raise CliError(f"{args.pred} holds {pred.size} labels for "
                        f"{truth.size} truth points")
@@ -501,29 +464,23 @@ def _cmd_eval(args, file_config):
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     report = scores(cm)
-    print(format_report(report, machine=bool(_merged(args, file_config,
-                                                     "machine", False))))
+    print(format_report(report, machine=args.machine))
     return 0
 
 
-def _cmd_synth(args, file_config):
+def _cmd_synth(args):
     from .pointcloud import generate_synthetic, save_pointcloud
-    preset = _merged(args, file_config, "preset", "strata")
-    n = int(_merged(args, file_config, "n", 20000))
-    C = int(_merged(args, file_config, "classes", 4))
-    noise = float(_merged(args, file_config, "noise", 0.15))
-    seed = int(_merged(args, file_config, "seed", 0))
-    extent = float(_merged(args, file_config, "extent", 150.0))
-    band_height = float(_merged(args, file_config, "band_height", 8.0))
+    if not isinstance(args.include_labels, bool):
+        raise CliError(f"include_labels must be true or false, "
+                       f"got {args.include_labels!r}", code=1)
     try:
-        cloud = generate_synthetic(preset, N=n, C=C, noise=noise, seed=seed,
-                                   extent=extent, band_height=band_height)
+        cloud = generate_synthetic(args.preset, N=args.n, C=args.classes,
+                                   noise=args.noise, seed=args.seed,
+                                   extent=args.extent, band_height=args.band_height)
     except ValueError as exc:
         raise CliError(str(exc), code=1) from exc
-    # only a config file drops the labels; no flag sets include_labels
-    save_pointcloud(cloud, args.out,
-                    include_labels=bool(file_config.get("include_labels", True)))
-    print(f"wrote {cloud.n_points} points ({C} classes) to {args.out}")
+    save_pointcloud(cloud, args.out, include_labels=args.include_labels)
+    print(f"wrote {cloud.n_points} points ({args.classes} classes) to {args.out}")
     return 0
 
 
@@ -536,33 +493,34 @@ def _add_common(p, needs_input=True, needs_out=True):
     if needs_out:
         p.add_argument("--out", required=True, help="output path")
     p.add_argument("--config", help="JSON configuration file; flags win")
-    p.add_argument("--columns",
+    p.add_argument("--columns", type=_parse_columns,
                    help="column roles, e.g. x=0,y=1,z=2,features=3:5,label=6")
     p.add_argument("--skip-header", dest="skip_header", action="store_true",
-                   default=None, help="ignore the first line of point files")
+                   help="ignore the first line of point files")
     p.add_argument("--threads", type=_thread_count,
                    help="cap math-library threads; 1 for bit-exact runs")
 
 
-def _add_block_flags(p, recorded=False, floor_help=None):
+def _add_block_flags(p, recorded=False, min_points=None):
     """``recorded``: the defaults are the slicing the checkpoint recorded;
-    ``floor_help`` replaces the help text of the --min-points default."""
+    ``min_points`` replaces the recorded or built-in --min-points default."""
     source = "the checkpoint's, else " if recorded else ""
     p.add_argument("--block", type=float,
                    help=f"block side in meters (default {source}25)")
     p.add_argument("--shift", type=float,
                    help=f"diagonal offset of the second grid (default {source}side/2; "
                         f"side/2 when --block is given)")
-    p.add_argument("--min-points", dest="min_points", type=int,
+    p.add_argument("--min-points", dest="min_points", type=int, default=min_points,
                    help="drop blocks with fewer members (default "
-                        f"{floor_help or source + '64'})")
+                        f"{min_points or source + '64'})")
 
 
 def _add_train_flags(p):
     p.add_argument("--classes", type=int, help="number of classes")
-    p.add_argument("--val-fraction", dest="val_fraction", type=float,
+    p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.2,
                    help="tile fraction held out for validation (default 0.2)")
-    p.add_argument("--tile", type=float, help="tile side for the split (default 10)")
+    p.add_argument("--tile", type=float, default=10.0,
+                   help="tile side for the split (default 10)")
     p.add_argument("--log", help="JSONL training log path")
     for name in ("lr", "lr_decay", "lr_floor", "momentum", "dropout_rate",
                  "offset_scale"):
@@ -574,9 +532,11 @@ def _add_train_flags(p):
                    help="epoch cap N (default 200): train runs up to N epochs, "
                         "refine up to max(1, N // 2) labeled+artificial epoch "
                         "pairs, so refine with N = 1 still trains two epochs")
+    p.set_defaults(**dict.fromkeys(_TRAIN_CONFIG_ONLY))
 
 
-def build_parser():
+def _build_parsers():
+    """The command-line parser and {subcommand: its parser}."""
     parser = argparse.ArgumentParser(
         prog="axcrf",
         description="Point-cloud labeling with neighbor-limited refinement.")
@@ -605,34 +565,40 @@ def build_parser():
                    help="unlabeled point file the labels were generated for")
     p.add_argument("--artificial-labels", dest="artificial_labels",
                    help="label file from the labels subcommand")
-    p.add_argument("--thetas", help="alpha,beta,gamma; omit for the first configured "
+    p.add_argument("--thetas", type=_theta_triple,
+                   help="alpha,beta,gamma; omit for the first configured "
                    "candidates, which a search with the stack's initial weights "
                    "always picks")
 
     p = sub.add_parser("predict", help="label every input point")
     _add_common(p)
-    _add_block_flags(p, recorded=True, floor_help="1, so every point gets a label")
+    # every point gets a label only if sparse blocks are kept
+    _add_block_flags(p, recorded=True, min_points=1)
     p.add_argument("--model", required=True, help="checkpoint to predict with")
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--pred", required=True, help="predicted label file")
     p.add_argument("--truth", required=True, help="labeled point file")
     p.add_argument("--classes", type=int, help="number of classes")
-    p.add_argument("--machine", action="store_true", default=None,
+    p.add_argument("--machine", action="store_true",
                    help="JSON report instead of the text table")
     _add_common(p, needs_input=False, needs_out=False)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled cloud")
     _add_common(p, needs_input=False)
-    p.add_argument("--preset", help="strata or clusters (default strata)")
-    p.add_argument("--n", type=int, help="number of points (default 20000)")
-    p.add_argument("--classes", type=int, help="number of classes (default 4)")
-    p.add_argument("--noise", type=float, help="corruption level (default 0.15)")
-    p.add_argument("--seed", type=int, help="generator seed (default 0)")
-    p.add_argument("--extent", type=float, help="xy extent in meters (default 150)")
-    p.add_argument("--band-height", dest="band_height", type=float,
+    p.add_argument("--preset", default="strata", help="strata or clusters (default strata)")
+    p.add_argument("--n", type=int, default=20000, help="number of points (default 20000)")
+    p.add_argument("--classes", type=int, default=4, help="number of classes (default 4)")
+    p.add_argument("--noise", type=float, default=0.15,
+                   help="corruption level (default 0.15)")
+    p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    p.add_argument("--extent", type=float, default=150.0,
+                   help="xy extent in meters (default 150)")
+    p.add_argument("--band-height", dest="band_height", type=float, default=8.0,
                    help="strata band height in meters (default 8)")
-    return parser
+    # no flag drops the labels; only a config file sets include_labels
+    p.set_defaults(include_labels=True)
+    return parser, sub.choices
 
 
 _COMMANDS = {"slice": _cmd_slice, "train": _cmd_train, "labels": _cmd_labels,
@@ -640,29 +606,34 @@ _COMMANDS = {"slice": _cmd_slice, "train": _cmd_train, "labels": _cmd_labels,
              "synth": _cmd_synth}
 
 
+def _parse(argv):
+    """Parse argv with the --config file's flag values put before the user's
+    own arguments: flags win, and each value passes its flag's own check."""
+    parser, subparsers = _build_parsers()
+    args = parser.parse_args(argv)
+    if args.config:
+        file_argv, config_only = _config_argv(args.config, subparsers, args.command)
+        args = parser.parse_args([argv[0], *file_argv, *argv[1:]])
+        for key, value in config_only.items():
+            if hasattr(args, key):
+                setattr(args, key, value)
+    return args
+
+
 def dispatch(argv) -> int:
     """Run one subcommand; returns the process exit code."""
     _keep_freed_arrays()
     _apply_threads(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses 2 for usage errors and 0 for --help
-        return 0 if exc.code in (0, None) else 1
-    file_config = {}
-    try:
-        if getattr(args, "config", None):
-            file_config = _load_config_file(args.config)
-        resolved = dict(file_config)
-        for key in _KNOWN_KEYS:
-            value = getattr(args, key, None)
-            if value is not None:
-                resolved[key] = value
-        _log_resolved(args.command, resolved)
+        try:
+            args = _parse(list(argv))
+        except SystemExit as exc:
+            # argparse uses 2 for usage errors and 0 for --help
+            return 0 if exc.code in (0, None) else 1
+        _log_resolved(args)
         from .training import NumericError
         try:
-            return _COMMANDS[args.command](args, file_config)
+            return _COMMANDS[args.command](args)
         except NumericError as exc:
             print(f"numeric failure: {exc}", file=sys.stderr)
             return 3
@@ -671,7 +642,6 @@ def dispatch(argv) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    return 0
 
 
 def main() -> None:

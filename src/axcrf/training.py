@@ -24,6 +24,7 @@ import collections
 import hashlib
 import json
 import math
+import numbers
 import os
 import pickle
 import signal
@@ -100,46 +101,50 @@ class TrainConfig:
     theta_gamma_candidates: tuple = THETA_GAMMA_CANDIDATES
 
     def __post_init__(self):
-        for name in ("block_channels", "block_strides", "D_list",
-                     "theta_alpha_candidates", "theta_beta_candidates",
-                     "theta_gamma_candidates"):
-            setattr(self, name, tuple(getattr(self, name)))
-        if self.lr <= 0 or self.lr_floor <= 0:
-            raise ValueError("learning rate and floor must be positive")
+        # library callers and config-file values reach here unparsed, so the
+        # types are checked with the ranges: a float width or a string switch
+        # must fail here, not deep inside training or at checkpoint save
+        def is_int(v, low):
+            return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low
+
+        def is_positive(v):
+            # the chained comparison is false for nan as well
+            return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and 0.0 < v < math.inf)
+
+        for name in _CONFIG_INTS:
+            low = {"C": 2, "seed": 0, "r": 0}.get(name, 1)
+            if not is_int(getattr(self, name), low):
+                raise ValueError(f"{name} must be an integer >= {low}, "
+                                 f"got {getattr(self, name)!r}")
+        for name in _CONFIG_INT_TUPLES + _CONFIG_FLOAT_TUPLES:
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValueError(f"{name} must be a non-empty list, got {values!r}")
+            setattr(self, name, tuple(values))
+        for name in _CONFIG_INT_TUPLES:
+            if not all(is_int(v, 1) for v in getattr(self, name)):
+                raise ValueError(f"every entry of {name} must be an integer >= 1, "
+                                 f"got {getattr(self, name)}")
+        for name in _CONFIG_FLOAT_TUPLES:
+            if not all(map(is_positive, getattr(self, name))):
+                raise ValueError(f"{name} must be positive finite numbers, "
+                                 f"got {getattr(self, name)}")
+        for name in ("lr", "lr_floor", "offset_scale"):
+            if not is_positive(getattr(self, name)):
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)!r}")
+        if not isinstance(self.shared_levels, bool):
+            raise ValueError(f"shared_levels must be true or false, "
+                             f"got {self.shared_levels!r}")
         if not 0 < self.lr_decay <= 1:
             raise ValueError(f"decay factor must be in (0, 1], got {self.lr_decay}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.batch_blocks < 1 or self.n_sample < 1 or self.max_epochs < 1:
-            raise ValueError("batch size, sample size and epoch budget must be >= 1")
-        if self.C < 2:
-            raise ValueError(f"need at least two classes, got {self.C}")
         if len(self.block_channels) != len(self.block_strides):
             raise ValueError("block_channels and block_strides lengths differ")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
-        for name in ("K", "C_delta", "hidden", "crf_K"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.r < 0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
-        for name in ("D_list", "block_channels", "block_strides"):
-            if not all(v >= 1 for v in getattr(self, name)):
-                raise ValueError(f"every entry of {name} must be >= 1, "
-                                 f"got {getattr(self, name)}")
-        # the chained comparison is false for nan as well
-        if not 0.0 < self.offset_scale < math.inf:
-            raise ValueError(f"offset_scale must be positive and finite, "
-                             f"got {self.offset_scale}")
-        for name in ("theta_alpha_candidates", "theta_beta_candidates",
-                     "theta_gamma_candidates"):
-            values = getattr(self, name)
-            # the chained comparison is false for nan as well
-            if not values or not all(0.0 < v < math.inf for v in values):
-                raise ValueError(f"{name} must be positive finite numbers, "
-                                 f"got {values}")
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -195,7 +200,6 @@ class ArtificialLabelSet:
     blocks: list
     point_indices: np.ndarray       # covered points, into cloud
     labels: np.ndarray              # one label per covered point
-    checkpoint_id: str
     passes: int
 
     def __post_init__(self):
@@ -696,8 +700,7 @@ def generate_artificial_labels(checkpoint: ModelCheckpoint, cloud: PointCloud,
     if pi.size == 0:
         raise ValueError("unlabeled blocks contain no points")
     return ArtificialLabelSet(cloud=cloud, blocks=blocks, point_indices=pi,
-                              labels=lab, checkpoint_id=checkpoint_id(checkpoint),
-                              passes=passes)
+                              labels=lab, passes=passes)
 
 
 def train_step2(checkpoint: ModelCheckpoint, cloud: PointCloud, train_blocks,

@@ -1,11 +1,13 @@
 """Command-line pipeline: subcommands, exit codes, config merging."""
 
 import json
+import re
 import sys
 
 import numpy as np
 import pytest
 
+from axcrf import cli
 from axcrf.cli import dispatch, main
 from axcrf.pointcloud import read_labels
 
@@ -153,6 +155,145 @@ def test_flags_override_config(tmp_path):
     assert len(out.read_text().strip().split("\n")) == 120
 
 
+# every key a config file may hold: the optional flags' names, whichever
+# subcommand takes them, and the settings no flag takes
+CONFIG_KEYS = {
+    "lr", "lr_decay", "lr_decay_every", "lr_floor", "momentum", "batch_blocks",
+    "patience", "max_epochs", "seed", "n_sample", "K", "block_channels",
+    "block_strides", "C_delta", "hidden", "dropout_rate", "offset_scale", "D_list",
+    "crf_K", "r", "shared_levels", "theta_alpha_candidates",
+    "theta_beta_candidates", "theta_gamma_candidates", "log", "columns", "preset",
+    "block", "shift", "min_points", "val_fraction", "tile", "classes", "noise", "n",
+    "extent", "band_height", "skip_header", "artificial_input",
+    "artificial_labels", "thetas", "machine", "include_labels"}
+
+
+def test_config_key_set_is_pinned(tmp_path):
+    assert cli._config_keys(cli._build_parsers()[1]) == CONFIG_KEYS
+    # null leaves a setting unset, so each key is accepted and slice goes on
+    # to find its input missing
+    cfg = tmp_path / "one.json"
+    for key in sorted(CONFIG_KEYS):
+        cfg.write_text(json.dumps({key: None}))
+        assert dispatch(["slice", "--input", str(tmp_path / "absent.txt"),
+                         "--out", str(tmp_path / "b"), "--config", str(cfg)]) == 2, key
+
+
+@pytest.mark.parametrize("key", ["column_map", "C", "input", "out", "model", "help",
+                                 "config"])
+def test_config_removed_and_plumbing_keys_are_unknown(workdir, tmp_path, key, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: {"x": 0, "y": 1, "z": 2} if key == "column_map"
+                               else "3"}))
+    code = dispatch(["slice", "--input", str(workdir / "cloud.txt"),
+                     "--out", str(tmp_path / "b"), "--config", str(cfg)])
+    assert code == 1
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+def _wrong_values(key, action):
+    """Config values of the wrong type for ``key``, whose flag is ``action``
+    (None for a config-only key)."""
+    if key in ("shared_levels", "include_labels") or action and action.nargs == 0:
+        return ["yes", 1, [True], {}]
+    if action is None:
+        return [True, 3, "12", {"a": 1}, ["a"]]
+    return [True, [1], {"a": 1}] + (["abc"] if action.type is not None else [])
+
+
+def _config_cases():
+    reads = {"train": cli._TRAIN_CONFIG_ONLY, "refine": cli._TRAIN_CONFIG_ONLY,
+             "synth": ("include_labels",)}
+    cases = []
+    for command, parser in cli._build_parsers()[1].items():
+        flags = cli._config_flags(parser)
+        cases += [pytest.param(command, key, flags.get(key), id=f"{command}-{key}")
+                  for key in sorted(flags) + list(reads.get(command, ()))]
+    return cases
+
+
+@pytest.mark.parametrize("command,key,action", _config_cases())
+def test_config_wrong_typed_value_is_a_named_usage_error(workdir, trained, tmp_path,
+                                                         command, key, action,
+                                                         capsys):
+    out = tmp_path / "out"
+    paths = {"--input": workdir / "cloud.txt", "--out": out, "--model": trained,
+             "--pred": workdir / "cloud.txt", "--truth": workdir / "cloud.txt"}
+    required = [a.option_strings[0] for a in
+                cli._build_parsers()[1][command]._actions if a.required]
+    argv = [command] + [str(x) for flag in required for x in (flag, paths[flag])]
+    if command in ("train", "eval"):
+        argv += ["--classes", "3"]
+    named = re.compile(rf"(^|[\s']){re.escape(key)}[\s']" + (
+        "" if action is None else rf"|argument {action.option_strings[0]}:"))
+    cfg = tmp_path / "cfg.json"
+    for value in _wrong_values(key, action):
+        cfg.write_text(json.dumps({key: value}))
+        assert dispatch(argv + ["--config", str(cfg)]) == 1, value
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and named.search(errors[0]), (value, err)
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("switch", ["skip_header", "machine"])
+def test_config_switch_takes_true_or_false(pipeline, tmp_path, switch, capsys):
+    # the truth file has no header, so skip_header true drops its first point
+    argv = ["eval", "--pred", str(pipeline / "pred.txt"),
+            "--truth", str(pipeline / "cloud.txt"), "--classes", "3"]
+    cfg = tmp_path / "cfg.json"
+    for value in (False, True):
+        cfg.write_text(json.dumps({switch: value}))
+        code = dispatch(argv + ["--config", str(cfg)])
+        out, err = capsys.readouterr()
+        if switch == "machine":
+            assert code == 0 and out.startswith("{") == value
+        else:
+            assert code == (2 if value else 0)
+            assert ("599 truth points" in err) == value
+
+
+def test_config_log_number_is_a_path_not_stdout(workdir, tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "log.json"
+    cfg.write_text(json.dumps({**TINY_FILE, "log": 1}))
+    args = list(TINY_TRAIN)
+    args[args.index("--max-epochs") + 1] = "2"
+    assert dispatch(["train", "--input", str(workdir / "cloud.txt"),
+                     "--out", str(tmp_path / "x.ckpt"), "--config", str(cfg)]
+                    + args) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("best validation OA")
+    records = [json.loads(line) for line in (tmp_path / "1").read_text().splitlines()]
+    assert [rec["epoch"] for rec in records] == [0, 1]
+
+
+def test_resolved_config_shows_what_train_runs_with(workdir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    # noise and include_labels are synth's; tile comes from the file only
+    cfg.write_text(json.dumps({**TINY_FILE, "noise": 0.5, "include_labels": False,
+                               "tile": 50, "shared_levels": None}))
+    args = list(TINY_TRAIN)
+    i = args.index("--tile")
+    del args[i:i + 2]
+    args[args.index("--max-epochs") + 1] = "1"
+    assert dispatch(["train", "--input", str(workdir / "cloud.txt"),
+                     "--out", str(tmp_path / "x.ckpt"), "--config", str(cfg)]
+                    + args) == 0
+    line, = [l for l in capsys.readouterr().err.splitlines()
+             if l.startswith("resolved config [train]: ")]
+    resolved = json.loads(line.split(": ", 1)[1])
+    assert resolved["tile"] == 50.0 and resolved["val_fraction"] == 0.3
+    assert resolved["skip_header"] is False         # a parser default
+    assert resolved["lr"] == 0.02 and resolved["max_epochs"] == 1
+    assert resolved["block_channels"] == [6, 6] and resolved["D_list"] == [1, 2]
+    assert not {"noise", "include_labels", "shared_levels", "thetas",
+                "command"} & set(resolved)
+
+
 # -- slice -------------------------------------------------------------------
 
 
@@ -191,39 +332,6 @@ def test_slice_rejects_negative_column_flag(workdir, tmp_path, columns, capsys):
     assert code == 1
     assert "negative column index" in capsys.readouterr().err
     assert not (tmp_path / "b").exists()
-
-
-def test_slice_rejects_negative_column_map_in_config(workdir, tmp_path, capsys):
-    cfg = tmp_path / "cols.json"
-    cfg.write_text(json.dumps({"column_map": {"x": -1, "y": 1, "z": 2}}))
-    code = dispatch(["slice", "--input", str(workdir / "cloud.txt"),
-                     "--out", str(tmp_path / "b"), "--block", "60",
-                     "--config", str(cfg)])
-    assert code == 1
-    assert "negative column index" in capsys.readouterr().err
-    assert not (tmp_path / "b").exists()
-
-
-@pytest.mark.parametrize("column_map,key", [
-    ([1, 2], "JSON object"),
-    ({"x": 0, "y": 1, "z": 2, "features": 3}, "'features'"),
-    ({"x": 0, "y": 1, "z": 2, "label": "five"}, "'label'"),
-    ({"x": 0, "y": 1, "z": 2, "label": True}, "'label'"),
-    ({"x": 0, "y": 1, "z": 2, "label": 5.5}, "'label'"),
-    ({"x": 0, "y": 1, "z": 2, "intensity": 3}, "'intensity'"),
-])
-def test_malformed_column_map_in_config_is_usage_error(workdir, tmp_path, column_map,
-                                                       key, capsys):
-    cfg = tmp_path / "cols.json"
-    cfg.write_text(json.dumps({"column_map": column_map}))
-    for command in ("slice", "train"):
-        code = dispatch([command, "--input", str(workdir / "cloud.txt"),
-                         "--out", str(tmp_path / "b"), "--block", "60",
-                         "--config", str(cfg)] + (TINY_TRAIN if command == "train" else []))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "column_map" in err and key in err
-        assert not (tmp_path / "b").exists()
 
 
 def test_slice_missing_input_is_data_error(tmp_path):
@@ -271,6 +379,27 @@ def test_train_rejects_bad_shape_and_slicing_values(workdir, tmp_path, flag, val
                      "--config", str(workdir / "tiny.json")] + args)
     assert code == 1
     assert f"{named} must" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("file_config,flags,named", [
+    ({"block_channels": [6.5, 6]}, [], "block_channels"),
+    ({"D_list": [1.5]}, [], "D_list"),
+    ({"shared_levels": "no"}, [], "shared_levels"),
+    ({"theta_alpha_candidates": ["a"]}, [], "theta_alpha_candidates"),
+    ({"n_sample": 256.0}, [], "--n-sample"),
+    ({}, ["--lr", "nan"], "lr"), ({}, ["--lr-floor", "inf"], "lr_floor"),
+])
+def test_train_rejects_bad_config_types_before_training(workdir, tmp_path, file_config,
+                                                        flags, named, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY_FILE, **file_config}))
+    args = [a for a in TINY_TRAIN if a not in ("--n-sample", "48", "--lr", "0.02")]
+    code = dispatch(["train", "--input", str(workdir / "cloud.txt"),
+                     "--out", str(tmp_path / "x.ckpt"), "--config", str(cfg)]
+                    + args + flags)
+    assert code == 1
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "x.ckpt").exists()
 
 
@@ -504,30 +633,40 @@ def test_labels_and_predict_default_to_the_recorded_slicing(pipeline, trained,
     assert (tmp_path / "pred.txt").read_bytes() == (pipeline / "pred.txt").read_bytes()
 
 
-def test_slicing_precedence():
+def test_slicing_precedence(tmp_path):
     from argparse import Namespace
     from types import SimpleNamespace
-    from axcrf.cli import _slicing
+    from axcrf.cli import _parse, _slicing
     ckpt = SimpleNamespace(slicing=(60.0, 30.0, 16))
     unset = dict(block=None, shift=None, min_points=None)
-    assert _slicing(Namespace(**unset), {}) == (25.0, 12.5, 64)
-    assert _slicing(Namespace(**unset), {}, ckpt) == (60.0, 30.0, 16)
-    assert _slicing(Namespace(**unset), {}, ckpt, min_points=1) == (60.0, 30.0, 1)
+    assert _slicing(Namespace(**unset)) == (25.0, 12.5, 64)
+    assert _slicing(Namespace(**unset), ckpt) == (60.0, 30.0, 16)
     # a side given without a shift shifts by half of it, not by the recorded shift
-    assert _slicing(Namespace(**{**unset, "block": 50.0}), {}, ckpt) == (50.0, 25.0, 16)
-    assert _slicing(Namespace(**unset), {"block": 40.0}, ckpt) == (40.0, 20.0, 16)
-    assert _slicing(Namespace(**{**unset, "shift": 20.0, "min_points": 8}), {}, ckpt,
-                    min_points=1) == (60.0, 20.0, 8)
+    assert _slicing(Namespace(**{**unset, "block": 50.0}), ckpt) == (50.0, 25.0, 16)
+    assert _slicing(Namespace(**{**unset, "shift": 20.0, "min_points": 8}),
+                    ckpt) == (60.0, 20.0, 8)
+    # predict's --min-points default of 1 replaces the recorded floor, and a
+    # config-file side counts as a given side
+    cfg = tmp_path / "block.json"
+    cfg.write_text(json.dumps({"block": 40}))
+    args = _parse(["predict", "--input", "in.txt", "--out", "out.txt",
+                   "--model", "m.ckpt", "--config", str(cfg)])
+    assert _slicing(args, ckpt) == (40.0, 20.0, 1)
 
 
 def test_config_key_lists_match_train_config_fields():
     # cli cannot import training at load time (--threads must act before
-    # numpy loads), so this keeps its key list and the checkpoint's config
-    # tensors in step with TrainConfig
+    # numpy loads), so this keeps every TrainConfig field reachable from the
+    # command line, and the checkpoint's config tensors, in step with it
     import dataclasses
-    from axcrf import cli, training
+    from axcrf import training
     fields = sorted(f.name for f in dataclasses.fields(training.TrainConfig))
-    assert sorted(cli._TRAIN_KEYS) == fields
+    _, subparsers = cli._build_parsers()
+    for name in fields:
+        flag = all(name in cli._config_flags(subparsers[command])
+                   for command in ("train", "refine"))
+        assert name == "C" or flag != (name in cli._TRAIN_CONFIG_ONLY), name
+    assert set(cli._TRAIN_CONFIG_ONLY) <= set(cli._CONFIG_ONLY)
     assert sorted(training._CONFIG_INTS + training._CONFIG_FLOATS
                   + training._CONFIG_BOOLS + training._CONFIG_INT_TUPLES
                   + training._CONFIG_FLOAT_TUPLES) == fields

@@ -129,6 +129,20 @@ def test_train_config_validation():
                 block_channels=(1,), block_strides=(1,), offset_scale=1e-3)
 
 
+@pytest.mark.parametrize("name,bad", [
+    ("n_sample", 256.0), ("seed", True), ("block_channels", (6.5, 6)),
+    ("block_strides", (1, True)), ("D_list", (1.5,)), ("D_list", 3), ("D_list", ()),
+    ("shared_levels", "no"), ("shared_levels", 1),
+    ("lr", math.nan), ("lr", math.inf), ("lr_floor", math.nan), ("lr_floor", math.inf),
+    ("theta_alpha_candidates", ("a",)), ("theta_gamma_candidates", (True,)),
+])
+def test_train_config_rejects_wrong_types_and_non_finite_rates(name, bad):
+    # a float D_list entry would train, then reload from its checkpoint as an
+    # int; a nan lr would train at lr_floor, since max(floor, nan) is floor
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(C=2, **{name: bad})
+
+
 # -- coverage voting -------------------------------------------------------------------
 
 
@@ -314,7 +328,6 @@ def test_artificial_labels_cover_and_freeze(step1_run):
     members = np.unique(np.concatenate([b.member_indices for b in val_blocks]))
     np.testing.assert_array_equal(np.sort(art.point_indices), members)
     assert art.labels.min() >= 0 and art.labels.max() < cloud.C
-    assert art.checkpoint_id == checkpoint_id(ckpt)
     assert art.passes >= len(val_blocks)
     h = art.content_hash()
     assert art.content_hash() == h
@@ -330,10 +343,10 @@ def test_artificial_label_set_validation():
     cloud = generate_synthetic("strata", N=50, C=2, noise=0.1, seed=1)
     with pytest.raises(ValueError):
         ArtificialLabelSet(cloud=cloud, blocks=[], point_indices=np.array([0, 1]),
-                           labels=np.array([0]), checkpoint_id="x", passes=1)
+                           labels=np.array([0]), passes=1)
     with pytest.raises(ValueError):
         ArtificialLabelSet(cloud=cloud, blocks=[], point_indices=np.array([0]),
-                           labels=np.array([5]), checkpoint_id="x", passes=1)
+                           labels=np.array([5]), passes=1)
 
 
 # -- step 2 -----------------------------------------------------------------------------------
