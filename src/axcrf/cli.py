@@ -356,20 +356,17 @@ def _cmd_labels(args):
     if not blocks:
         raise CliError("no blocks survived slicing; lower --min-points")
     art = generate_artificial_labels(ckpt, cloud, blocks)
-    write_labels(art.dense_labels(), args.out)
-    covered = art.point_indices.size
-    print(f"wrote {cloud.n_points} labels ({covered} covered, "
-          f"{cloud.n_points - covered} outside blocks as -1) to {args.out}")
+    write_labels(art.labels, args.out)
+    print(f"wrote {cloud.n_points} labels ({art.n_covered} covered, "
+          f"{cloud.n_points - art.n_covered} outside blocks as -1) to {args.out}")
     return 0
 
 
 def _cmd_refine(args):
-    import numpy as np
     from .pointcloud import read_labels, slice_blocks
     from .training import ArtificialLabelSet, save_checkpoint, train_step2
     ckpt = _load_ckpt(args.model)
-    C = ckpt.config.C
-    config = _train_config_from(args, C)
+    config = _train_config_from(args, ckpt.config.C)
     split, slicing = _split_labeled(args, config,
                                     "refine needs a labeled cloud; add label= to "
                                     "--columns", ckpt)
@@ -380,26 +377,17 @@ def _cmd_refine(args):
                        code=1)
     art_cloud = _load_unlabeled(art_path, args, ckpt)
     try:
-        dense = read_labels(lab_path)
+        labels = read_labels(lab_path)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read labels {lab_path}: {exc}") from exc
-    if dense.size != art_cloud.n_points:
-        raise CliError(f"{lab_path} holds {dense.size} labels for "
-                       f"{art_cloud.n_points} points")
-    if dense.max(initial=-1) >= C:
-        raise CliError(f"artificial labels exceed the class count {C}")
     side, shift, min_points = slicing
     art_blocks = slice_blocks(art_cloud, side=side, shift=shift,
                               min_points=min_points)
-    members = np.zeros(art_cloud.n_points, dtype=bool)
-    for b in art_blocks:
-        members[b.member_indices] = True
-    if not np.all(dense[members] >= 0):
-        raise CliError("artificial labels leave block members unlabeled; "
-                       "regenerate them with the same slicing parameters")
-    pi = np.flatnonzero(members)
-    artificial = ArtificialLabelSet(cloud=art_cloud, blocks=art_blocks,
-                                    point_indices=pi, labels=dense[pi], passes=0)
+    try:
+        artificial = ArtificialLabelSet(cloud=art_cloud, blocks=art_blocks,
+                                        labels=labels, passes=0)
+    except ValueError as exc:
+        raise CliError(f"{lab_path}: {exc}") from exc
     refined = train_step2(ckpt, split.labeled, split.train_blocks, artificial,
                           split.val_blocks, config=config, thetas=args.thetas,
                           slicing=slicing, log_path=args.log)
@@ -412,7 +400,6 @@ def _cmd_refine(args):
 
 
 def _cmd_predict(args):
-    import numpy as np
     from .pointcloud import slice_blocks, write_labels
     from .training import _SALT_PREDICT, pipeline_vote
     ckpt = _load_ckpt(args.model)
@@ -421,16 +408,14 @@ def _cmd_predict(args):
     blocks = slice_blocks(cloud, side=side, shift=shift, min_points=min_points)
     if not blocks:
         raise CliError("no blocks to predict on")
-    pi, labels, passes = pipeline_vote(cloud, blocks, ckpt.model, ckpt.axcrf,
-                                       ckpt.config.n_sample, ckpt.config.seed,
-                                       salt=_SALT_PREDICT)
-    dense = np.full(cloud.n_points, -1, dtype=np.int64)
-    dense[pi] = labels
-    if np.any(dense < 0):
-        missing = int((dense < 0).sum())
+    labels, passes = pipeline_vote(cloud, blocks, ckpt.model, ckpt.axcrf,
+                                   ckpt.config.n_sample, ckpt.config.seed,
+                                   salt=_SALT_PREDICT)
+    missing = int((labels < 0).sum())
+    if missing:
         raise CliError(f"{missing} points fell outside every block; "
                        f"lower --min-points to 1 for full coverage")
-    write_labels(dense, args.out)
+    write_labels(labels, args.out)
     print(f"wrote {cloud.n_points} labels to {args.out} ({passes} passes)")
     return 0
 

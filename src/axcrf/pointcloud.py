@@ -30,7 +30,6 @@ class PointCloud:
     features: np.ndarray           # N x F
     labels: np.ndarray | None      # N ints in [0, C), or None
     C: int
-    column_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
@@ -60,7 +59,6 @@ class PointCloud:
             features=self.features[indices],
             labels=None if self.labels is None else self.labels[indices],
             C=self.C,
-            column_names=self.column_names,
         )
 
 
@@ -94,7 +92,7 @@ class FeatureScaler:
             raise ValueError(f"cloud has {cloud.n_features} feature columns, the "
                              f"scaler was fit on {self.scale.shape[0]}")
         feats = cloud.features * self.scale + self.offset
-        return PointCloud(cloud.positions, feats, cloud.labels, cloud.C, cloud.column_names)
+        return PointCloud(cloud.positions, feats, cloud.labels, cloud.C)
 
 
 def _split_fields(line: str) -> list[str]:
@@ -132,12 +130,16 @@ def load_pointcloud(path, column_map: dict, C: int, skip_header: bool = False) -
                 positions.append([float(fields[c]) for c in xyz_cols])
                 features.append([float(fields[c]) for c in feat_cols])
                 if label_col is not None:
-                    lab = int(float(fields[label_col]))
-                    labels.append(lab)
+                    lab = float(fields[label_col])
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}: malformed line {lineno}: {line!r}") from exc
-            if label_col is not None and not 0 <= labels[-1] < C:
-                raise ValueError(f"{path}: line {lineno}: label {labels[-1]} outside [0, {C})")
+            if label_col is not None:
+                # a label is a class index: 2 and 2.0 are class 2, but 2.7 and
+                # inf are no class; the chained comparison is false for nan too
+                if not (0 <= lab < C and lab.is_integer()):
+                    raise ValueError(f"{path}: line {lineno}: label "
+                                     f"{fields[label_col]} is not a class in [0, {C})")
+                labels.append(int(lab))
 
     n = len(positions)
     return PointCloud(
@@ -291,8 +293,7 @@ def split_by_tiles(cloud: PointCloud, tile_side: float = 100.0,
     parts = []
     start = 0
     for cut in cuts:
-        chosen = set(tiles[perm[start:cut]].tolist())
-        mask = np.fromiter((k in chosen for k in keys), count=keys.size, dtype=bool)
+        mask = np.isin(keys, tiles[perm[start:cut]])
         parts.append(cloud.subset(np.flatnonzero(mask)))
         start = cut
     return parts
@@ -334,7 +335,7 @@ def split_and_slice(cloud: PointCloud, tile_side: float,
                          np.vstack([train.features, val.features]),
                          None if cloud.labels is None
                          else np.concatenate([train.labels, val.labels]),
-                         cloud.C, cloud.column_names)
+                         cloud.C)
     val_blocks = [Block(b.origin, b.side, b.member_indices + train.n_points)
                   for b in blocks[1]]
     return TileSplit(labeled=labeled, n_train=train.n_points, train_blocks=blocks[0],
@@ -358,7 +359,6 @@ def _synth_strata(N: int, C: int, noise: float, rng: np.random.Generator,
         features=np.stack([f_height, f_parity], axis=1),
         labels=labels,
         C=C,
-        column_names=("height", "parity"),
     )
 
 
@@ -382,7 +382,6 @@ def _synth_clusters(N: int, C: int, noise: float, rng: np.random.Generator,
         features=feats,
         labels=labels,
         C=C,
-        column_names=("ring_cos", "ring_sin"),
     )
 
 

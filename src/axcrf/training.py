@@ -38,8 +38,8 @@ from .autograd import Tape, backward
 from .crf import (THETA_ALPHA_CANDIDATES, THETA_BETA_CANDIDATES,
                   THETA_GAMMA_CANDIDATES, AXcrfParams, XcrfLevelParams,
                   axcrf_forward, axcrf_graph, first_thetas, predict)
-from .model import (MlpParams, UnaryModelParams, XConvParams, cross_entropy_graph,
-                    init_unary_model, named_param_arrays, unary_forward, unary_graph)
+from .model import (UnaryModelParams, cross_entropy_graph, init_unary_model,
+                    named_param_arrays, unary_forward, unary_graph)
 from .neighbors import build_index
 from .pointcloud import Block, FeatureScaler, PointCloud, block_seed, sample_block
 
@@ -194,32 +194,31 @@ class ModelCheckpoint:
 
 @dataclass
 class ArtificialLabelSet:
-    """Frozen predictions of the validated step-1 model on unlabeled blocks."""
+    """Frozen predictions of the validated step-1 model on unlabeled blocks:
+    one label per cloud point, -1 where no pass sampled the point. Every
+    block member must have a label."""
 
     cloud: PointCloud
     blocks: list
-    point_indices: np.ndarray       # covered points, into cloud
-    labels: np.ndarray              # one label per covered point
+    labels: np.ndarray
     passes: int
 
     def __post_init__(self):
-        self.point_indices = np.asarray(self.point_indices, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.point_indices.shape != self.labels.shape:
-            raise ValueError(f"{self.point_indices.size} points but {self.labels.size} labels")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.cloud.C):
-            raise ValueError(f"labels outside [0, {self.cloud.C})")
+        if self.labels.shape != (self.cloud.n_points,):
+            raise ValueError(f"{self.labels.size} labels for {self.cloud.n_points} points")
+        if self.labels.size and (self.labels.min() < -1 or self.labels.max() >= self.cloud.C):
+            raise ValueError(f"labels outside [-1, {self.cloud.C})")
+        if any(np.any(self.labels[b.member_indices] < 0) for b in self.blocks):
+            raise ValueError("artificial labels leave block members unlabeled; "
+                             "regenerate them with the same slicing parameters")
 
-    def dense_labels(self) -> np.ndarray:
-        dense = np.full(self.cloud.n_points, -1, dtype=np.int64)
-        dense[self.point_indices] = self.labels
-        return dense
+    @property
+    def n_covered(self) -> int:
+        return int(np.count_nonzero(self.labels >= 0))
 
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.point_indices.tobytes())
-        h.update(self.labels.tobytes())
-        return h.hexdigest()
+        return hashlib.sha256(self.labels.tobytes()).hexdigest()
 
 
 def _sort_rank(model, axcrf) -> int:
@@ -301,7 +300,7 @@ class _Helper:
     def __init__(self, cloud: PointCloud | None = None, passes=()):
         self.cloud = cloud
         self.passes = passes
-        self.kept: dict = {}        # pass number -> sorted indices, helper side
+        self.kept: dict = {}        # pass number -> sorted indices
         self.pid = None
         self._pending = False
         self._inline = collections.deque()
@@ -373,9 +372,7 @@ class _Helper:
         try:
             if kind == "sort":
                 return True, _shared_sort(*args)
-            model, axcrf, keep = args
-            return True, _pass_preds(self.cloud, self.passes, 1, model, axcrf,
-                                     self.kept if keep else None)
+            return True, _pass_preds(self.cloud, self.passes, 1, *args, self.kept)
         except Exception as exc:
             return False, exc
 
@@ -439,38 +436,37 @@ def _coverage_passes(cloud: PointCloud, blocks, n_sample: int, global_seed: int,
     return passes
 
 
-def _vote(cloud: PointCloud, passes, preds) -> tuple[np.ndarray, np.ndarray]:
+def _vote(cloud: PointCloud, passes, preds) -> np.ndarray:
     """One vote per (pass, point) from each pass's class predictions, in
-    pass order; majority wins, ties to the lowest class. Returns (point
-    indices, labels) over the covered points, which are exactly the
-    blocks' members."""
+    pass order; majority wins, ties to the lowest class. Returns one label
+    per cloud point, -1 where no pass sampled the point."""
     votes = np.zeros((cloud.n_points, cloud.C), dtype=np.int64)
-    covered = np.zeros(cloud.n_points, dtype=bool)
     for idx, pred in zip(passes, preds, strict=True):
         uniq, first = np.unique(idx, return_index=True)
         votes[uniq, pred[first]] += 1
-        covered[uniq] = True
-    point_indices = np.flatnonzero(covered)
-    return point_indices, votes[point_indices].argmax(axis=1)
+    return np.where(votes.any(axis=1), votes.argmax(axis=1), -1)
 
 
 def coverage_vote_predict(cloud: PointCloud, blocks, forward_fn, n_sample: int,
                           global_seed: int, salt: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Eval passes over repeated block samplings until every block member is
     predicted at least once; one vote per (pass, point), majority wins,
-    ties to the lowest class. Returns (point indices, labels, passes)."""
+    ties to the lowest class. Returns (point indices, labels, passes) over
+    the covered points, which are exactly the blocks' members."""
     passes = _coverage_passes(cloud, blocks, n_sample, global_seed, salt)
     preds = (predict(forward_fn(cloud.positions[idx], cloud.features[idx]))
              for idx in passes)
-    point_indices, labels = _vote(cloud, passes, preds)
-    return point_indices, labels, len(passes)
+    labels = _vote(cloud, passes, preds)
+    point_indices = np.flatnonzero(labels >= 0)
+    return point_indices, labels[point_indices], len(passes)
 
 
 def pipeline_vote(cloud: PointCloud, blocks, model: UnaryModelParams,
                   axcrf: AXcrfParams | None, n_sample: int, global_seed: int,
-                  salt: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """``coverage_vote_predict`` with ``pipeline_forward``, bit for bit: a
-    helper process sorts each pass ahead while this one forwards them."""
+                  salt: int) -> tuple[np.ndarray, int]:
+    """The labels of ``coverage_vote_predict`` with ``pipeline_forward``, as
+    one label per cloud point (-1 outside every block), and the pass count;
+    a helper process sorts each pass ahead while this one forwards them."""
     passes = _coverage_passes(cloud, blocks, n_sample, global_seed, salt)
     with _Helper() as helper:
         sorts = helper.sorts([cloud.positions[idx] for idx in passes],
@@ -478,18 +474,19 @@ def pipeline_vote(cloud: PointCloud, blocks, model: UnaryModelParams,
         preds = [predict(_forward(model, axcrf, cloud.positions[idx],
                                   cloud.features[idx], sorted_idx))
                  for idx, sorted_idx in zip(passes, sorts)]
-    point_indices, labels = _vote(cloud, passes, preds)
-    return point_indices, labels, len(passes)
+    return _vote(cloud, passes, preds), len(passes)
 
 
-def _pass_preds(cloud, passes, start, model, axcrf, kept=None) -> list:
-    """Class predictions of every second pass from ``start`` on. ``kept``,
-    when given, holds each pass's sorted indices from one call to the next."""
+def _pass_preds(cloud, passes, start, model, axcrf, kept: dict) -> list:
+    """Class predictions of every second pass from ``start`` on. Without a
+    stack, ``kept`` holds each pass's sorted indices from one call to the
+    next; the stack's deeper lists would cost more memory than their repeat
+    sorts cost time, so with one each call sorts afresh."""
     rank = _sort_rank(model, axcrf)
     preds = []
     for p in range(start, len(passes), 2):
         pos = cloud.positions[passes[p]]
-        if kept is None:
+        if axcrf is not None:
             sorted_idx = _shared_sort(rank, pos)
         elif (sorted_idx := kept.get(p)) is None:
             sorted_idx = kept[p] = _shared_sort(rank, pos)
@@ -498,25 +495,28 @@ def _pass_preds(cloud, passes, start, model, axcrf, kept=None) -> list:
     return preds
 
 
-def _split_vote_oa(helper: _Helper, model, axcrf, kept=None) -> float:
+def _split_vote_oa(helper: _Helper, model, axcrf) -> float:
     """Coverage-vote accuracy over the helper's cloud and passes: even
     passes here, odd ones in the helper with a snapshot of the weights,
-    merged in pass order. ``kept`` holds this side's sorts between calls,
-    and the helper then keeps its own."""
-    helper.submit("vote", model, axcrf, kept is not None)
+    merged in pass order. Each side keeps its sorts in its own
+    ``helper.kept``; in one process the two share it, as their pass numbers
+    never collide."""
+    helper.submit("vote", model, axcrf)
     preds = [None] * len(helper.passes)
-    preds[0::2] = _pass_preds(helper.cloud, helper.passes, 0, model, axcrf, kept)
+    preds[0::2] = _pass_preds(helper.cloud, helper.passes, 0, model, axcrf, helper.kept)
     preds[1::2] = helper.result()
-    return _accuracy(helper.cloud, *_vote(helper.cloud, helper.passes, preds))
+    return _accuracy(helper.cloud, _vote(helper.cloud, helper.passes, preds))
 
 
-def _accuracy(cloud: PointCloud, point_indices: np.ndarray, labels: np.ndarray) -> float:
-    if point_indices.size == 0:
+def _accuracy(cloud: PointCloud, labels: np.ndarray) -> float:
+    """Accuracy over the points that have a label (>= 0)."""
+    covered = labels >= 0
+    if not covered.any():
         raise ValueError("no points covered by the given blocks")
-    return float((labels == cloud.labels[point_indices]).mean())
+    return float((labels[covered] == cloud.labels[covered]).mean())
 
 
-def _block_grads(model, axcrf, cloud, block, idx, sorted_idx, labels_dense,
+def _block_grads(model, axcrf, cloud, block, idx, sorted_idx, labels,
                  dropout_rng, update_xcrf):
     """Forward + backward over one sampled block, given the sample's
     indices into ``cloud`` and its sorted neighbor indices. The stack's
@@ -524,10 +524,7 @@ def _block_grads(model, axcrf, cloud, block, idx, sorted_idx, labels_dense,
     Returns (grads by name, loss, point count)."""
     pos = cloud.positions[idx]
     feat = cloud.features[idx]
-    lab = labels_dense[idx]
-    if lab.min() < 0:
-        raise ValueError("sampled a point with no label; artificial labels "
-                         "must cover every block member")
+    lab = labels[idx]
     index = build_index(pos)
     tape = Tape()
     out, binds = unary_graph(tape, pos, feat, model, training=True,
@@ -579,7 +576,7 @@ def _apply_sgd(model, axcrf, grads, lr, update_xcrf, velocity, momentum):
             lv.compat = new_c.copy()
 
 
-def _run_epoch(model, axcrf, cloud, blocks, labels_dense, config, epoch, t,
+def _run_epoch(model, axcrf, cloud, blocks, labels, config, epoch, t,
                update_xcrf, salt, velocity, helper):
     """One shuffled pass over the blocks in batches of config.batch_blocks;
     gradients averaged over all points of a batch. The samples depend only
@@ -601,7 +598,7 @@ def _run_epoch(model, axcrf, cloud, blocks, labels_dense, config, epoch, t,
         for k in range(start, min(start + config.batch_blocks, len(order))):
             drng = np.random.default_rng([seeds[k], _SALT_DROPOUT])
             per.append(_block_grads(model, axcrf, cloud, order[k], samples[k],
-                                    next(sorts), labels_dense, drng, update_xcrf))
+                                    next(sorts), labels, drng, update_xcrf))
         total_pts = sum(p[2] for p in per)
         agg: dict[str, np.ndarray] = {}
         batch_loss = 0.0
@@ -632,6 +629,16 @@ def _log(fh, **record):
         fh.flush()
 
 
+def _new_model(config: TrainConfig, c_in: int) -> UnaryModelParams:
+    """A freshly initialized classifier of ``config``'s shape for ``c_in``
+    feature columns."""
+    return init_unary_model(seed=config.seed, C=config.C, C_in=c_in, K=config.K,
+                            block_channels=config.block_channels,
+                            block_strides=config.block_strides, C_delta=config.C_delta,
+                            hidden=config.hidden, dropout_rate=config.dropout_rate,
+                            offset_scale=config.offset_scale)
+
+
 def train_step1(cloud: PointCloud, train_blocks, val_blocks, config: TrainConfig,
                 scaler: FeatureScaler | None = None, slicing: tuple | None = None,
                 log_path=None) -> ModelCheckpoint:
@@ -645,17 +652,12 @@ def train_step1(cloud: PointCloud, train_blocks, val_blocks, config: TrainConfig
         raise ValueError("step 1 needs non-empty train and validation block sets")
     if cloud.labels is None:
         raise ValueError("step 1 needs a labeled cloud")
-    model = init_unary_model(seed=config.seed, C=config.C, C_in=cloud.n_features,
-                             K=config.K, block_channels=config.block_channels,
-                             block_strides=config.block_strides, C_delta=config.C_delta,
-                             hidden=config.hidden, dropout_rate=config.dropout_rate,
-                             offset_scale=config.offset_scale)
+    model = _new_model(config, cloud.n_features)
     # the validation passes do not depend on the epoch and the neighbor rank
     # is fixed for the run, so each pass is sampled once and sorted once, by
     # the process that forwards it
     val_passes = _coverage_passes(cloud, val_blocks, config.n_sample, config.seed,
                                   _SALT_VAL)
-    val_sorts: dict = {}
     stopper = EarlyStopper(config.patience)
     best_oa = -math.inf
     best_model = model.copy()
@@ -670,7 +672,7 @@ def train_step1(cloud: PointCloud, train_blocks, val_blocks, config: TrainConfig
                                           cloud.labels, config, epoch, t,
                                           update_xcrf=False, salt=_SALT_TRAIN,
                                           velocity=velocity, helper=helper)
-                val_oa = _split_vote_oa(helper, model, None, val_sorts)
+                val_oa = _split_vote_oa(helper, model, None)
                 _log(fh, step=1, epoch=epoch, kind="labeled", mean_loss=mean_loss,
                      val_oa=val_oa, lr=learning_rate(config, t))
                 if val_oa > best_oa:
@@ -695,12 +697,11 @@ def generate_artificial_labels(checkpoint: ModelCheckpoint, cloud: PointCloud,
     if not blocks:
         raise ValueError("unlabeled block set is empty")
     cfg = checkpoint.config
-    pi, lab, passes = pipeline_vote(cloud, blocks, checkpoint.model, None,
-                                    cfg.n_sample, cfg.seed, _SALT_LABELS)
-    if pi.size == 0:
+    labels, passes = pipeline_vote(cloud, blocks, checkpoint.model, None,
+                                   cfg.n_sample, cfg.seed, _SALT_LABELS)
+    if labels.max(initial=-1) < 0:
         raise ValueError("unlabeled blocks contain no points")
-    return ArtificialLabelSet(cloud=cloud, blocks=blocks, point_indices=pi,
-                              labels=lab, passes=passes)
+    return ArtificialLabelSet(cloud=cloud, blocks=blocks, labels=labels, passes=passes)
 
 
 def train_step2(checkpoint: ModelCheckpoint, cloud: PointCloud, train_blocks,
@@ -737,12 +738,9 @@ def train_step2(checkpoint: ModelCheckpoint, cloud: PointCloud, train_blocks,
     axcrf = AXcrfParams.initial(config.C, D_list=config.D_list, K=config.crf_K,
                                 r=config.r, theta_alpha=ta, theta_beta=tb,
                                 theta_gamma=tg, shared=config.shared_levels)
-    art_dense = artificial.dense_labels()
     art_hash = artificial.content_hash()
     stopper = EarlyStopper(config.patience)
-    # every evaluation votes over the same passes; their sorts are made
-    # afresh each time, as keeping the stack's deep lists costs more memory
-    # than the repeat sorts cost time
+    # every evaluation votes over the same passes
     val_passes = _coverage_passes(cloud, val_blocks, config.n_sample, config.seed,
                                   _SALT_VAL)
     with _Helper(cloud, val_passes) as helper:
@@ -766,9 +764,9 @@ def train_step2(checkpoint: ModelCheckpoint, cloud: PointCloud, train_blocks,
                                          cloud.labels, config, pair, t,
                                          update_xcrf=True, salt=_SALT_TRAIN,
                                          velocity=velocity, helper=helper)
-                t, loss_art = _run_epoch(model, axcrf, artificial.cloud,
-                                         artificial.blocks, art_dense, config, pair,
-                                         t, update_xcrf=False, salt=_SALT_ART,
+                t, loss_art = _run_epoch(model, axcrf, artificial.cloud, artificial.blocks,
+                                         artificial.labels, config, pair, t,
+                                         update_xcrf=False, salt=_SALT_ART,
                                          velocity=velocity, helper=helper)
                 if artificial.content_hash() != art_hash:
                     raise RuntimeError("artificial labels changed during step 2")
@@ -964,25 +962,19 @@ def _rebuild(tensors: dict[str, np.ndarray]) -> ModelCheckpoint:
         kw[name] = tuple(float(x) for x in _require(tensors, f"config.{name}"))
     config = TrainConfig(**kw)
 
-    c_in = int(_scalar(tensors, "meta.c_in"))
-    blocks = []
-    prev = c_in
-    for bi, (c_out, d) in enumerate(zip(config.block_channels, config.block_strides)):
-        pre = f"unary.block{bi}"
-        lift = MlpParams(*(_require(tensors, f"{pre}.lift.{w}")
-                           for w in ("w1", "b1", "w2", "b2")))
-        xform = MlpParams(*(_require(tensors, f"{pre}.xform.{w}")
-                            for w in ("w1", "b1", "w2", "b2")))
-        blocks.append(XConvParams(lift=lift, xform=xform,
-                                  conv_kernel=_require(tensors, f"{pre}.conv_kernel"),
-                                  conv_bias=_require(tensors, f"{pre}.conv_bias"),
-                                  K=config.K, C_in=prev, D=d,
-                                  offset_scale=config.offset_scale))
-        prev = c_out
-    head = MlpParams(*(_require(tensors, f"unary.head.{w}")
-                       for w in ("w1", "b1", "w2", "b2")))
-    model = UnaryModelParams(blocks=blocks, head=head,
-                             dropout_rate=config.dropout_rate, C=config.C)
+    c_in = _scalar(tensors, "meta.c_in")
+    if not 1 <= c_in == int(c_in):
+        raise CorruptHeaderError(f"feature width {c_in} is not a positive integer")
+    # the configured model, filled in by the names its graph binds
+    model = _new_model(config, int(c_in))
+    for name, arr in named_param_arrays(model).items():
+        value = _require(tensors, name)
+        if value.shape != arr.shape:
+            raise CorruptHeaderError(f"tensor {name} has shape {value.shape}, the "
+                                     f"configured model needs {arr.shape}")
+        if not np.all(np.isfinite(value)):
+            raise CorruptHeaderError(f"tensor {name} holds non-finite values")
+        arr[...] = value
 
     thetas = None
     if int(_scalar(tensors, "meta.has_thetas")):
@@ -1037,9 +1029,10 @@ def load_checkpoint(path) -> ModelCheckpoint:
         return _rebuild(tensors)
     except CheckpointError:
         raise
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, MemoryError) as exc:
         # a well-formed manifest whose values cannot rebuild the model, such
-        # as a config value TrainConfig rejects or a tuple of the wrong length
+        # as a config value TrainConfig rejects, a tuple of the wrong length
+        # or a width too large to allocate
         raise CorruptHeaderError(f"checkpoint values do not form a model: {exc}") from exc
 
 

@@ -429,6 +429,27 @@ def test_train_malformed_point_file_is_data_error(tmp_path):
                      "--out", str(tmp_path / "x.ckpt")] + TINY_TRAIN) == 2
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("label", ["inf", "-inf", "1e999", "nan", "2.7"])
+def test_point_file_label_must_be_a_class_index(workdir, tmp_path, capsys, command,
+                                                label):
+    # 2.7 used to load as class 2, and inf ended in an OverflowError traceback
+    rows = (workdir / "cloud.txt").read_text().strip().split("\n")
+    rows[4] = " ".join(rows[4].split()[:-1] + [label])
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(rows) + "\n")
+    pred = tmp_path / "pred.txt"
+    pred.write_text("0\n" * len(rows))
+    argv = {"train": ["train", "--input", str(bad), "--out", str(tmp_path / "x.ckpt")]
+            + TINY_TRAIN,
+            "eval": ["eval", "--pred", str(pred), "--truth", str(bad), "--classes", "3"]}
+    assert dispatch(argv[command]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"line 5: label {label} is not a class" in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 def test_numeric_blowup_exits_three(workdir, tmp_path):
     args = list(TINY_TRAIN)
     args[args.index("--lr") + 1] = "1e9"
@@ -513,6 +534,42 @@ def test_refine_rejects_mismatched_labels(pipeline, trained, tmp_path):
                      "--config", str(pipeline / "tiny.json"),
                      "--thetas", "1.0,0.1,1.0"] + TINY_TRAIN)
     assert code == 2
+
+
+def _wrong_count(art):
+    return art[:-1]
+
+
+def _class_too_large(art):
+    return np.where(art == art.max(), 3, art)
+
+
+def _below_minus_one(art):
+    return np.where(np.arange(art.size) == 0, -2, art)
+
+
+def _member_unlabeled(art):
+    return np.where(np.arange(art.size) == np.argmax(art >= 0), -1, art)
+
+
+@pytest.mark.parametrize("damage,named", [
+    (_wrong_count, "599 labels for 600 points"),
+    (_class_too_large, r"labels outside [-1, 3)"),
+    (_below_minus_one, r"labels outside [-1, 3)"),
+    (_member_unlabeled, "artificial labels leave block members unlabeled"),
+], ids=["count", "class-too-large", "below-minus-one", "member-unlabeled"])
+def test_refine_label_file_faults_are_data_errors(pipeline, trained, tmp_path, capsys,
+                                                  damage, named):
+    art = damage(read_labels(pipeline / "art.txt"))
+    bad = tmp_path / "art.txt"
+    bad.write_text("".join(f"{int(v)}\n" for v in art))
+    argv = _refine_argv(pipeline, trained, tmp_path / "x.ckpt", pipeline / "unlabeled.txt")
+    argv[argv.index("--artificial-labels") + 1] = str(bad)
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"error: {bad}: {named}" in err
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def _refine_argv(d, trained, out, artificial_input, thetas="1.0,0.1,1.0"):

@@ -213,20 +213,21 @@ def test_pipeline_vote_equals_the_in_process_reference(setup, stack, fork, forke
                              hidden=6, dropout_rate=0.0, offset_scale=4.0)
     # the stack reads rank 16, deeper than the classifier's 8
     axcrf = AXcrfParams.initial(cloud.C, D_list=(1, 4), K=4, r=2) if stack else None
-    got = pipeline_vote(cloud, blocks, model, axcrf, n_sample, 0, salt)
+    labels, passes = pipeline_vote(cloud, blocks, model, axcrf, n_sample, 0, salt)
     assert len(forked) == (1 if fork else 0)
     want = coverage_vote_predict(cloud, blocks,
                                  lambda p, f: pipeline_forward(model, axcrf, p, f),
                                  n_sample, 0, salt)
-    assert got[2] == want[2] and want[2] % 2 == 1
+    assert passes == want[2] and want[2] % 2 == 1
     assert np.unique(want[1]).size > 1, "a one-class vote would hide a mix-up"
-    for a, b in zip(got[:2], want[:2]):
-        assert a.dtype == b.dtype
-        np.testing.assert_array_equal(a, b)
+    # one label per point, -1 exactly where the reference has no pair
+    assert labels.shape == (cloud.n_points,) and labels.dtype == want[1].dtype
+    refs = [want]
     if axcrf is None:
         # unary_forward sorts at model.max_neighbor_rank on its own, the
         # rank pipeline_vote sorts at without a stack
-        old = coverage_vote_predict(cloud, blocks, lambda p, f: unary_forward(p, f, model),
-                                    n_sample, 0, salt)
-        for a, b in zip(got[:2], old[:2]):
-            np.testing.assert_array_equal(a, b)
+        refs.append(coverage_vote_predict(
+            cloud, blocks, lambda p, f: unary_forward(p, f, model), n_sample, 0, salt))
+    for point_indices, ref_labels, _ in refs:
+        np.testing.assert_array_equal(np.flatnonzero(labels >= 0), point_indices)
+        np.testing.assert_array_equal(labels[point_indices], ref_labels)

@@ -14,8 +14,8 @@ from axcrf.autograd import Tape
 from axcrf.crf import AXcrfParams, first_thetas
 from axcrf.model import unary_forward
 from axcrf.neighbors import NeighborIndex
-from axcrf.pointcloud import (FeatureScaler, PointCloud, generate_synthetic, sample_block,
-                              slice_blocks)
+from axcrf.pointcloud import (Block, FeatureScaler, PointCloud, generate_synthetic,
+                              sample_block, slice_blocks)
 from axcrf.training import (ArtificialLabelSet, CheckpointError, CorruptHeaderError,
                             EarlyStopper, ModelCheckpoint, NumericError, TrainConfig,
                             TruncatedPayloadError, VersionMismatchError,
@@ -27,6 +27,13 @@ from axcrf.training import (ArtificialLabelSet, CheckpointError, CorruptHeaderEr
 TINY = dict(batch_blocks=2, n_sample=48, K=4, block_channels=(6, 6),
             block_strides=(1, 2), C_delta=4, hidden=6, dropout_rate=0.0,
             offset_scale=4.0, D_list=(1, 2), crf_K=4, r=2, patience=3)
+
+
+def _dense(cloud, point_indices, labels):
+    """The one-label-per-point form of a reference vote's pairs."""
+    dense = np.full(cloud.n_points, -1, dtype=np.int64)
+    dense[point_indices] = labels
+    return dense
 
 
 def tiny_setup(seed=0, C=3, n=420):
@@ -182,7 +189,7 @@ def test_coverage_vote_against_known_labels():
     pi, labels, _ = coverage_vote_predict(cloud, train_blocks, oracle_fwd, 32, 0,
                                           salt=training._SALT_VAL)
     np.testing.assert_array_equal(labels, cloud.labels[pi])
-    assert training._accuracy(cloud, pi, labels) == 1.0
+    assert training._accuracy(cloud, _dense(cloud, pi, labels)) == 1.0
 
 
 # -- step 1 ------------------------------------------------------------------------------
@@ -268,7 +275,7 @@ def test_step1_sorts_each_validation_pass_once(step1_run, monkeypatch, tmp_path)
     pi, labels, _ = coverage_vote_predict(
         s.cloud, s.val_blocks, lambda p, f: unary_forward(p, f, ckpt.model),
         s.config.n_sample, s.config.seed, salt=training._SALT_VAL)
-    assert ckpt.best_val_oa == training._accuracy(s.cloud, pi, labels)
+    assert ckpt.best_val_oa == training._accuracy(s.cloud, _dense(s.cloud, pi, labels))
 
 
 def test_step2_sorts_each_sample_once_per_epoch_and_each_pass_per_evaluation(
@@ -323,30 +330,40 @@ def test_non_finite_gradient_raises(step1_run, monkeypatch):
 
 def test_artificial_labels_cover_and_freeze(step1_run):
     cloud, val_blocks, ckpt = step1_run.cloud, step1_run.val_blocks, step1_run.ckpt
+    config = step1_run.config
     unlabeled = PointCloud(cloud.positions, cloud.features, None, cloud.C)
     art = generate_artificial_labels(ckpt, unlabeled, val_blocks)
     members = np.unique(np.concatenate([b.member_indices for b in val_blocks]))
-    np.testing.assert_array_equal(np.sort(art.point_indices), members)
-    assert art.labels.min() >= 0 and art.labels.max() < cloud.C
+    # one label per point: the block members have one, every other point -1
+    assert art.labels.shape == (cloud.n_points,) and art.labels.dtype == np.int64
+    np.testing.assert_array_equal(np.flatnonzero(art.labels >= 0), members)
+    assert art.n_covered == members.size < cloud.n_points
+    assert art.labels.max() < cloud.C
     assert art.passes >= len(val_blocks)
+    # the same labels as the in-process reference vote at the labels' salt
+    pi, labels, passes = coverage_vote_predict(
+        unlabeled, val_blocks, lambda p, f: unary_forward(p, f, ckpt.model),
+        config.n_sample, config.seed, salt=training._SALT_LABELS)
+    np.testing.assert_array_equal(art.labels, _dense(cloud, pi, labels))
+    assert art.passes == passes
     h = art.content_hash()
     assert art.content_hash() == h
-    dense = art.dense_labels()
-    assert dense.shape == (cloud.n_points,)
-    outside = np.setdiff1d(np.arange(cloud.n_points), art.point_indices)
-    assert np.all(dense[outside] == -1)
     with pytest.raises(ValueError):
         generate_artificial_labels(ckpt, unlabeled, [])
 
 
 def test_artificial_label_set_validation():
     cloud = generate_synthetic("strata", N=50, C=2, noise=0.1, seed=1)
-    with pytest.raises(ValueError):
-        ArtificialLabelSet(cloud=cloud, blocks=[], point_indices=np.array([0, 1]),
-                           labels=np.array([0]), passes=1)
-    with pytest.raises(ValueError):
-        ArtificialLabelSet(cloud=cloud, blocks=[], point_indices=np.array([0]),
-                           labels=np.array([5]), passes=1)
+    block = Block((0.0, 0.0), 1.0, np.arange(10))
+    good = np.where(np.arange(50) < 10, 1, -1)
+    art = ArtificialLabelSet(cloud=cloud, blocks=[block], labels=good, passes=1)
+    assert art.n_covered == 10 and art.labels.dtype == np.int64
+    for labels, match in [(good[:-1], "49 labels for 50 points"),
+                          (np.where(good == 1, 2, -1), r"outside \[-1, 2\)"),
+                          (np.where(good == 1, 1, -2), r"outside \[-1, 2\)"),
+                          (np.where(np.arange(50) == 3, -1, good), "unlabeled")]:
+        with pytest.raises(ValueError, match=match):
+            ArtificialLabelSet(cloud=cloud, blocks=[block], labels=labels, passes=1)
 
 
 # -- step 2 -----------------------------------------------------------------------------------
@@ -616,6 +633,37 @@ def test_checkpoint_non_scalar_config_field_is_corrupt(tmp_path, step1_run):
     path = tmp_path / "rank.ckpt"
     path.write_bytes(training._encode(tensors))
     with pytest.raises(CorruptHeaderError, match="config.C has shape"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name,value,named", [
+    ("unary.head.b2", None, "missing tensor unary.head.b2"),
+    ("unary.block0.conv_kernel", "extra row", "configured model needs"),
+    ("unary.block1.lift.w1", "nan", "non-finite"),
+    ("unary.head.w2", "inf", "non-finite"),
+    ("config.hidden", 7.0, "configured model needs"),
+    ("meta.c_in", 3.0, "configured model needs"),
+    ("meta.c_in", 0.0, "feature width"),
+    ("meta.c_in", 2.5, "feature width"),
+    ("meta.c_in", math.nan, "feature width"),
+    ("meta.c_in", 1e12, "do not form a model"),     # too large to allocate
+])
+def test_checkpoint_classifier_must_fit_its_config(tmp_path, step1_run, name, value,
+                                                   named):
+    # the reader builds the configured classifier and fills it by name
+    tensors = training._checkpoint_tensors(step1_run.ckpt)
+    if value is None:
+        del tensors[name]
+    elif value == "extra row":
+        tensors[name] = np.vstack([tensors[name], tensors[name][:1]])
+    elif isinstance(value, str):
+        tensors[name] = tensors[name].copy()
+        tensors[name].flat[0] = float(value)
+    else:
+        tensors[name] = np.asarray(value)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(training._encode(tensors))
+    with pytest.raises(CorruptHeaderError, match=named):
         load_checkpoint(path)
 
 
